@@ -1,8 +1,8 @@
 GO ?= go
 
 .PHONY: build test lint race check fuzz-smoke fuzz-replay confluence-smoke \
-	fabric-smoke soak-smoke benchguard benchguard-update bench parallel \
-	profile quickstart
+	incremental-smoke fabric-smoke soak-smoke benchguard benchguard-update \
+	bench parallel profile quickstart
 
 build:
 	$(GO) build ./...
@@ -20,9 +20,13 @@ lint:
 	$(GO) vet ./...
 
 # race runs the packages with a concurrency contract (the sharded
-# switch workers, the control channel) under the race detector.
+# switch workers, the control channel) under the race detector, then
+# repeats the one test whose races are a matter of timing: workers
+# forwarding while barrier commits swap in snapshots that share tables
+# with the ones the workers are on.
 race:
 	$(GO) test -race ./internal/...
+	$(GO) test -race -count=10 -run TestForwardDuringCommits ./internal/openflow
 
 # fuzz-smoke is the CI slice of the differential fuzzer: a fixed-seed,
 # time-boxed run that must finish with zero divergences (the executor
@@ -52,6 +56,16 @@ fuzz-replay:
 # with its recorded kind.
 confluence-smoke:
 	$(GO) run ./cmd/mafuzz -confluence-fuzz -seed 1 -iters 250
+
+# incremental-smoke difftests the O(delta) barrier commit against its
+# from-scratch reference: seeded programs in their universal, metadata
+# and goto forms sit behind an agent on every switch model and take
+# add/modify/delete batches (some the agent must reject); after every
+# barrier the commit's verdict must be the full check's, and the
+# incrementally updated switch must forward, and report its shape,
+# exactly like a twin freshly installed with the committed state.
+incremental-smoke:
+	$(GO) run ./cmd/mafuzz -incremental-fuzz -seed 1 -duration 20s
 
 # fabric-smoke drives the multi-switch fabric through the headline fault
 # schedule (1% loss, a forced mid-frame cut, a partition every third
@@ -89,7 +103,7 @@ benchguard-update:
 
 # check is the single gate CI runs — .github/workflows/ci.yml calls
 # exactly this target, so a green `make check` locally is a green build.
-check: lint build test race fuzz-smoke fuzz-replay confluence-smoke fabric-smoke soak-smoke benchguard
+check: lint build test race fuzz-smoke fuzz-replay confluence-smoke incremental-smoke fabric-smoke soak-smoke benchguard
 
 bench:
 	$(GO) test -p 1 -bench=. -benchmem ./...

@@ -37,6 +37,14 @@
 //	                                        # the rematch-hazard table: the pair
 //	                                        # MUST be flagged non-confluent and
 //	                                        # the reproducer is written to DIR
+//	mafuzz -incremental-fuzz -duration 20s  # incremental mode: every seed's
+//	                                        # universal, metadata and goto forms
+//	                                        # sit behind an agent on every model
+//	                                        # and take seeded flow-mod batches;
+//	                                        # after every barrier the commit
+//	                                        # verdict, the forwarding and the
+//	                                        # installed shape must equal a
+//	                                        # from-scratch check and Install
 //
 // The committed reproducers live in internal/difftest/testdata/corpus and
 // are replayed by `go test ./internal/difftest` on every run.
@@ -67,6 +75,7 @@ type options struct {
 	schemaHz bool
 	conflFz  bool
 	conflPl  bool
+	incrFz   bool
 	replay   bool
 	verbose  bool
 }
@@ -84,6 +93,7 @@ func main() {
 		schemaHz = flag.Bool("plant-schema-hazard", false, "plant the rematch hazard over the VXLAN schema: must diverge at the compiled layers only")
 		conflFz  = flag.Bool("confluence-fuzz", false, "fuzz concurrent flow-mod batch pairs: the confluence verifier's verdict must agree with brute-force interleaving on every seed")
 		conflPl  = flag.Bool("plant-confluence", false, "plant two racing adds of the same key on the rematch-hazard table: must be flagged non-confluent")
+		incrFz   = flag.Bool("incremental-fuzz", false, "fuzz incremental barrier commits: after every barrier the agent's verdict, the switch's forwarding and its installed shape must equal a from-scratch check and a fresh Install")
 		replay   = flag.Bool("replay", false, "replay every corpus file instead of fuzzing")
 		verbose  = flag.Bool("v", false, "log every program")
 	)
@@ -92,7 +102,7 @@ func main() {
 	opts := options{
 		seed: *seed, iters: *iters, duration: *duration,
 		corpus: *corpus, plant: *plant, hazard: *hazard,
-		schema: *schema, schemaHz: *schemaHz, conflFz: *conflFz, conflPl: *conflPl,
+		schema: *schema, schemaHz: *schemaHz, conflFz: *conflFz, conflPl: *conflPl, incrFz: *incrFz,
 		replay: *replay, verbose: *verbose,
 	}
 	for _, m := range strings.Split(*models, ",") {
@@ -123,6 +133,8 @@ func run(w io.Writer, opts options) error {
 		return runConfluenceFuzz(w, opts, cfg)
 	case opts.conflPl:
 		return runPlantConfluence(w, opts, cfg)
+	case opts.incrFz:
+		return runIncrementalFuzz(w, opts, cfg)
 	case opts.plant || opts.hazard || opts.schemaHz:
 		return runPlant(w, opts, cfg)
 	default:
@@ -302,6 +314,58 @@ func runConfluenceFuzz(w io.Writer, opts options, cfg difftest.ExecConfig) error
 		confluent, nonConfluent, disagreements)
 	if disagreements > 0 {
 		return fmt.Errorf("%d of %d pairs produced verifier-vs-brute-force disagreements", disagreements, programs)
+	}
+	return nil
+}
+
+// incrementalSteps is how many batch rounds each representation of a
+// program takes behind its agent; a rejected round adds up to two more
+// barriers (the unrelated batch and the repair).
+const incrementalSteps = 8
+
+// runIncrementalFuzz is the incremental-vs-from-scratch loop: every seed's
+// program is churned behind an agent on every model, and any barrier after
+// which the incrementally updated switch differs from its from-scratch
+// reference fails the run. A seed reproduces with -seed N -iters 1.
+func runIncrementalFuzz(w io.Writer, opts options, cfg difftest.ExecConfig) error {
+	start := time.Now()
+	programs, barriers, accepted, rejected, divergent := 0, 0, 0, 0, 0
+	for i := 0; ; i++ {
+		if opts.iters > 0 && i >= opts.iters {
+			break
+		}
+		if opts.duration > 0 && time.Since(start) >= opts.duration {
+			break
+		}
+		seed := opts.seed + int64(i)
+		p := difftest.Generate(seed, difftest.DefaultGenConfig())
+		programs++
+		divs, runs, err := difftest.ExecuteIncremental(p, incrementalSteps, cfg)
+		if err != nil {
+			return fmt.Errorf("seed %d: %w", seed, err)
+		}
+		for _, r := range runs {
+			barriers += r.Barriers
+			accepted += r.Accepted
+			rejected += r.Rejected
+		}
+		if opts.verbose {
+			fmt.Fprintf(w, "seed %d: %d entries, %d runs, %d divergences\n", seed, len(p.Table.Entries), len(runs), len(divs))
+		}
+		if len(divs) == 0 {
+			continue
+		}
+		divergent++
+		fmt.Fprintf(w, "seed %d DIVERGED:\n", seed)
+		for _, d := range divs {
+			fmt.Fprintf(w, "  %s\n", d)
+		}
+	}
+	elapsed := time.Since(start)
+	fmt.Fprintf(w, "mafuzz: %d programs, %d barriers (%d accepted, %d rejected) on models [%s] in %v: %d divergent from the from-scratch reference\n",
+		programs, barriers, accepted, rejected, strings.Join(opts.models, " "), elapsed.Round(time.Millisecond), divergent)
+	if divergent > 0 {
+		return fmt.Errorf("%d of %d programs diverged", divergent, programs)
 	}
 	return nil
 }

@@ -22,6 +22,20 @@ func TestRunFuzzClean(t *testing.T) {
 	}
 }
 
+// TestRunIncrementalFuzzClean: a short incremental-vs-from-scratch run
+// must reach both accepted and rejected barriers and report no divergence.
+func TestRunIncrementalFuzzClean(t *testing.T) {
+	var out bytes.Buffer
+	err := run(&out, options{seed: 1, iters: 3, incrFz: true, models: switches.ModelNames()})
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "3 programs") || !strings.Contains(out.String(), "0 divergent") ||
+		strings.Contains(out.String(), "(0 accepted") || strings.Contains(out.String(), " 0 rejected") {
+		t.Fatalf("unexpected summary:\n%s", out.String())
+	}
+}
+
 // TestRunPlantThenReplay: the Fig. 3 demo must diverge, write a shrunk
 // reproducer into the corpus directory, and the replay mode must then
 // reproduce it from disk.

@@ -32,7 +32,7 @@ func checkCompensation(base *mat.Pipeline, batches [][]openflow.FlowMod) (*Compe
 	rep := &CompensationReport{OK: true}
 	for bi, batch := range batches {
 		for k := 1; k <= len(batch); k++ {
-			p := clonePipeline(base)
+			p := base.Clone()
 			var undo []openflow.FlowMod
 			for i := 0; i < k; i++ {
 				inv, invErr := inverse(p, &batch[i])

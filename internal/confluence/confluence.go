@@ -137,7 +137,7 @@ func Check(base *mat.Pipeline, batches [][]openflow.FlowMod, opts Options) (*Ver
 
 	finals := make([]*final, 0, len(orders))
 	for oi, order := range orders {
-		p := clonePipeline(base)
+		p := base.Clone()
 		pos := make([]int, len(batches))
 		for _, bi := range order {
 			mod := batches[bi][pos[bi]]

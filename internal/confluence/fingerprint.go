@@ -58,7 +58,7 @@ func Fingerprint(p *mat.Pipeline) (string, error) {
 // interleaving outcomes by (finer than fingerprint equality: two
 // canonically distinct states may still normalize to the same program).
 func CanonicalState(p *mat.Pipeline) (string, error) {
-	cp := clonePipeline(p)
+	cp := p.Clone()
 	for _, st := range cp.Stages {
 		st.Table.SortEntries()
 	}
@@ -67,17 +67,4 @@ func CanonicalState(p *mat.Pipeline) (string, error) {
 		return "", err
 	}
 	return string(raw), nil
-}
-
-// clonePipeline deep-copies a pipeline (tables, schemas and entries).
-func clonePipeline(p *mat.Pipeline) *mat.Pipeline {
-	out := &mat.Pipeline{Name: p.Name, Start: p.Start, Fused: p.Fused}
-	for _, st := range p.Stages {
-		out.Stages = append(out.Stages, mat.Stage{
-			Table:    st.Table.Clone(),
-			Next:     st.Next,
-			MissDrop: st.MissDrop,
-		})
-	}
-	return out
 }

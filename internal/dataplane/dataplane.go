@@ -10,6 +10,8 @@ package dataplane
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -94,7 +96,6 @@ type Pipeline struct {
 	Name   string
 	tables []*Table
 	start  int
-	nMeta  int
 	// tel holds the pre-resolved per-stage instruments; nil when the
 	// pipeline is uninstrumented (the allocation-free fast path checks a
 	// single pointer).
@@ -109,6 +110,15 @@ type Pipeline struct {
 	// (ProcessView and friends): match columns and rewriting actions were
 	// resolved to the schema's slot indices at compile time.
 	schema *packet.HeaderSchema
+	// What Recompile needs to lower a stage the way Compile lowered the
+	// others: the template selector, the options as given, the schema's
+	// binder (nil without one) and the metadata register of every link
+	// attribute met so far, numbered in first-encounter order (a Ctx holds
+	// one register per name; a fused pipeline has none).
+	sel     TemplateSelector
+	opts    []Option
+	binder  *packet.Binder
+	metaIdx map[string]int
 }
 
 // Schema returns the header schema the pipeline was compiled against, or
@@ -188,7 +198,7 @@ type Ctx struct {
 
 // NewCtx allocates scratch state for the pipeline.
 func (p *Pipeline) NewCtx() *Ctx {
-	return &Ctx{meta: make([]uint64, p.nMeta), key: make([]uint64, 16)}
+	return &Ctx{meta: make([]uint64, len(p.metaIdx)), key: make([]uint64, 16)}
 }
 
 // TemplateSelector decides the classifier template for each stage table —
@@ -207,7 +217,8 @@ func FixedTemplate(tmpl classifier.Template) TemplateSelector {
 // Compile lowers a mat.Pipeline into executable form. The selector chooses
 // each stage's classifier template; metadata attributes become registers
 // indexed per distinct name. Options attach cross-cutting concerns, e.g.
-// WithTelemetry.
+// WithTelemetry. It is the from-scratch case of Recompile: every stage
+// dirty, no previous snapshot.
 func Compile(p *mat.Pipeline, sel TemplateSelector, opts ...Option) (*Pipeline, error) {
 	if p.Fused {
 		// The fusion hint overrides per-stage template selection: the whole
@@ -224,89 +235,19 @@ func Compile(p *mat.Pipeline, sel TemplateSelector, opts ...Option) (*Pipeline, 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	metaIdx := make(map[string]int)
-	metaOf := func(name string) int {
-		if i, ok := metaIdx[name]; ok {
-			return i
-		}
-		i := len(metaIdx)
-		metaIdx[name] = i
-		return i
+	out := &Pipeline{
+		Name: p.Name, start: p.Start, schema: cfg.schema,
+		tables: make([]*Table, len(p.Stages)),
+		sel:    sel, opts: opts, metaIdx: make(map[string]int),
 	}
-
-	out := &Pipeline{Name: p.Name, start: p.Start, schema: cfg.schema}
-	var binder *packet.Binder
 	if cfg.schema != nil {
-		binder = packet.NewBinder(cfg.schema)
+		out.binder = packet.NewBinder(cfg.schema)
 	}
-	for _, st := range p.Stages {
-		t := st.Table
-		if got := len(t.Schema.Fields()); got > 16 {
-			return nil, fmt.Errorf("dataplane: table %s has %d match columns; the key buffer supports 16", t.Name, got)
-		}
-		if err := checkProvenance(t, cfg.schema); err != nil {
+	for si := range p.Stages {
+		if err := out.compileStage(p, si); err != nil {
 			return nil, err
 		}
-		cls, err := classifier.Compile(t, sel(t))
-		if err != nil {
-			return nil, fmt.Errorf("dataplane: table %s: %w", t.Name, err)
-		}
-		ct := &Table{
-			Name:     t.Name,
-			cls:      cls,
-			next:     st.Next,
-			missDrop: st.MissDrop,
-			counters: make([]atomic.Uint64, len(t.Entries)),
-			Template: cls.Template(),
-		}
-		for _, fi := range t.Schema.Fields() {
-			at := t.Schema[fi]
-			col := matchCol{width: at.Width, meta: -1, fid: -1, slot: -1}
-			if mat.IsLinkAttr(at.Name) {
-				col.meta = metaOf(at.Name)
-			} else {
-				col.field = at.Name
-				col.fid = packet.FieldID(at.Name)
-				if binder != nil {
-					if col.slot = binder.Slot(at.Name); col.slot < 0 {
-						return nil, fmt.Errorf("dataplane: table %s matches %q, not a field of schema %s", t.Name, at.Name, cfg.schema.Name)
-					}
-				}
-			}
-			ct.cols = append(ct.cols, col)
-		}
-		gotoIdx := t.Schema.Index(mat.GotoAttr)
-		for _, e := range t.Entries {
-			var acts []Action
-			var plens []uint8
-			for _, fi := range t.Schema.Fields() {
-				plens = append(plens, e[fi].PLen)
-			}
-			ct.plens = append(ct.plens, plens)
-			g := -1
-			for i, at := range t.Schema {
-				if at.Kind != mat.Action {
-					continue
-				}
-				switch {
-				case i == gotoIdx:
-					g = int(e[i].Bits)
-				case at.Name == "out":
-					acts = append(acts, Action{Kind: ActOutput, Value: e[i].Bits})
-				case at.Name == "mod_ttl":
-					acts = append(acts, Action{Kind: ActDecTTL, Slot: ttlSlot(binder)})
-				case mat.IsLinkAttr(at.Name):
-					acts = append(acts, Action{Kind: ActSetMeta, Meta: metaOf(at.Name), Value: e[i].Bits})
-				default:
-					acts = append(acts, Action{Kind: ActSetField, Field: actionField(at.Name), Slot: actionSlot(binder, at.Name), Value: e[i].Bits})
-				}
-			}
-			ct.acts = append(ct.acts, acts)
-			ct.gotos = append(ct.gotos, g)
-		}
-		out.tables = append(out.tables, ct)
 	}
-	out.nMeta = len(metaIdx)
 	if cfg.reg != nil {
 		tel := &pipelineTel{
 			procNs: cfg.reg.Histogram(fmt.Sprintf("pipeline.%s.process_ns", out.Name)),
@@ -322,6 +263,123 @@ func Compile(p *mat.Pipeline, sel TemplateSelector, opts ...Option) (*Pipeline, 
 		out.tel = tel
 	}
 	return out, nil
+}
+
+// Recompile returns a new snapshot of the pipeline for the program src,
+// which must be the program the receiver was compiled from with only the
+// entries of the dirty stages changed. Those stages are lowered afresh;
+// every other stage is the receiver's own *Table — classifier, actions and
+// per-entry counters — shared with the snapshot in-flight workers are
+// still using, so the cost is that of the dirty tables and a clean table's
+// counters keep counting across the swap. The counters of a recompiled
+// table restart.
+//
+// A fused pipeline has no per-stage form to patch: fusion is
+// install-time-only, and Recompile of a fused program is a full
+// CompileFused.
+func (p *Pipeline) Recompile(src *mat.Pipeline, dirty []int) (*Pipeline, error) {
+	if p.fusedT != nil {
+		return CompileFused(src, p.opts...)
+	}
+	if len(src.Stages) != len(p.tables) {
+		return nil, fmt.Errorf("dataplane: pipeline %s: recompile of %d stages over %d compiled ones", src.Name, len(src.Stages), len(p.tables))
+	}
+	out := *p
+	out.tables = slices.Clone(p.tables)
+	out.metaIdx = maps.Clone(p.metaIdx)
+	for _, si := range dirty {
+		if err := src.ValidateStage(si); err != nil {
+			return nil, err
+		}
+		if err := out.compileStage(src, si); err != nil {
+			return nil, err
+		}
+	}
+	return &out, nil
+}
+
+// metaOf returns the metadata register of a link attribute, assigning the
+// next free one on first encounter.
+func (p *Pipeline) metaOf(name string) int {
+	if i, ok := p.metaIdx[name]; ok {
+		return i
+	}
+	i := len(p.metaIdx)
+	p.metaIdx[name] = i
+	return i
+}
+
+// compileStage lowers stage si of src into p.tables[si]: the one per-stage
+// body behind both Compile and Recompile.
+func (p *Pipeline) compileStage(src *mat.Pipeline, si int) error {
+	st := src.Stages[si]
+	t := st.Table
+	fields := t.Schema.Fields()
+	if got := len(fields); got > 16 {
+		return fmt.Errorf("dataplane: table %s has %d match columns; the key buffer supports 16", t.Name, got)
+	}
+	if err := checkProvenance(t, p.schema); err != nil {
+		return err
+	}
+	cls, err := classifier.Compile(t, p.sel(t))
+	if err != nil {
+		return fmt.Errorf("dataplane: table %s: %w", t.Name, err)
+	}
+	ct := &Table{
+		Name:     t.Name,
+		cls:      cls,
+		next:     st.Next,
+		missDrop: st.MissDrop,
+		counters: make([]atomic.Uint64, len(t.Entries)),
+		Template: cls.Template(),
+	}
+	for _, fi := range fields {
+		at := t.Schema[fi]
+		col := matchCol{width: at.Width, meta: -1, fid: -1, slot: -1}
+		if mat.IsLinkAttr(at.Name) {
+			col.meta = p.metaOf(at.Name)
+		} else {
+			col.field = at.Name
+			col.fid = packet.FieldID(at.Name)
+			if p.binder != nil {
+				if col.slot = p.binder.Slot(at.Name); col.slot < 0 {
+					return fmt.Errorf("dataplane: table %s matches %q, not a field of schema %s", t.Name, at.Name, p.schema.Name)
+				}
+			}
+		}
+		ct.cols = append(ct.cols, col)
+	}
+	gotoIdx := t.Schema.Index(mat.GotoAttr)
+	for _, e := range t.Entries {
+		var acts []Action
+		var plens []uint8
+		for _, fi := range fields {
+			plens = append(plens, e[fi].PLen)
+		}
+		ct.plens = append(ct.plens, plens)
+		g := -1
+		for i, at := range t.Schema {
+			if at.Kind != mat.Action {
+				continue
+			}
+			switch {
+			case i == gotoIdx:
+				g = int(e[i].Bits)
+			case at.Name == "out":
+				acts = append(acts, Action{Kind: ActOutput, Value: e[i].Bits})
+			case at.Name == "mod_ttl":
+				acts = append(acts, Action{Kind: ActDecTTL, Slot: ttlSlot(p.binder)})
+			case mat.IsLinkAttr(at.Name):
+				acts = append(acts, Action{Kind: ActSetMeta, Meta: p.metaOf(at.Name), Value: e[i].Bits})
+			default:
+				acts = append(acts, Action{Kind: ActSetField, Field: actionField(at.Name), Slot: actionSlot(p.binder, at.Name), Value: e[i].Bits})
+			}
+		}
+		ct.acts = append(ct.acts, acts)
+		ct.gotos = append(ct.gotos, g)
+	}
+	p.tables[si] = ct
+	return nil
 }
 
 // actionField maps action attribute names to the packet field they write;

@@ -96,7 +96,7 @@ func CompileFused(p *mat.Pipeline, opts ...Option) (*Pipeline, error) {
 		ct.fusedStages[ri] = fusedWitnessStages(r, metaIdx)
 	}
 
-	out := &Pipeline{Name: p.Name, tables: []*Table{ct}, start: 0, nMeta: 0, fusedT: ct, fusedFDD: cls, schema: cfg.schema}
+	out := &Pipeline{Name: p.Name, tables: []*Table{ct}, start: 0, fusedT: ct, fusedFDD: cls, schema: cfg.schema, opts: opts}
 	if cfg.reg != nil {
 		out.tel = &pipelineTel{
 			procNs: cfg.reg.Histogram(fmt.Sprintf("pipeline.%s.process_ns", out.Name)),

@@ -35,7 +35,7 @@ func unionPipeline(shards []*mat.Pipeline) (*mat.Pipeline, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("fabric: union of no shards")
 	}
-	out := clonePipeline(shards[0])
+	out := shards[0].Clone()
 	for si := range out.Stages {
 		t := out.Stages[si].Table
 		seen := make(map[string]bool, len(t.Entries))
@@ -139,7 +139,7 @@ func (f *Fabric) CheckConvergence(ctx context.Context, oracle *mat.Pipeline, pkt
 	desired := make([]*mat.Pipeline, len(f.members))
 	f.mu.Lock()
 	for i, m := range f.members {
-		desired[i] = clonePipeline(m.desired)
+		desired[i] = m.desired.Clone()
 	}
 	f.mu.Unlock()
 	for i, m := range f.members {

@@ -20,7 +20,7 @@ func gotoPipeline(t *testing.T) *mat.Pipeline {
 
 func TestFingerprintIsEntryOrderInvariant(t *testing.T) {
 	src := gotoPipeline(t)
-	shuffled := clonePipeline(src)
+	shuffled := src.Clone()
 	for _, st := range shuffled.Stages {
 		e := st.Table.Entries
 		for i, j := 0, len(e)-1; i < j; i, j = i+1, j-1 {
@@ -42,7 +42,7 @@ func TestFingerprintIsEntryOrderInvariant(t *testing.T) {
 
 func TestFingerprintDetectsSemanticDivergence(t *testing.T) {
 	src := gotoPipeline(t)
-	mutated := clonePipeline(src)
+	mutated := src.Clone()
 	// Flip one load-balancing output: same shape, different program.
 	lb := mutated.Stages[1].Table
 	out := lb.Schema.Index("out")
@@ -87,8 +87,8 @@ func TestUnionOfShardsFingerprintsLikeOracle(t *testing.T) {
 
 func TestDiffModsRepairsDrift(t *testing.T) {
 	src := gotoPipeline(t)
-	desired := clonePipeline(src)
-	actual := clonePipeline(src)
+	desired := src.Clone()
+	actual := src.Clone()
 
 	// Drift three ways: a lost entry, a corrupted action, and a spurious
 	// leftover entry.
@@ -128,7 +128,7 @@ func TestDiffModsRepairsDrift(t *testing.T) {
 
 func TestDiffModsEmptyOnIdenticalState(t *testing.T) {
 	src := gotoPipeline(t)
-	mods, err := diffMods(clonePipeline(src), clonePipeline(src))
+	mods, err := diffMods(src.Clone(), src.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

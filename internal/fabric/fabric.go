@@ -235,7 +235,7 @@ func (f *Fabric) Frozen() bool { return f.frozen.Load() }
 func (f *Fabric) Desired(i int) *mat.Pipeline {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return clonePipeline(f.members[i].desired)
+	return f.members[i].desired.Clone()
 }
 
 // Apply pushes one batch of flow-mods as a single epoch: the mods are
@@ -331,7 +331,7 @@ func (f *Fabric) logicalDesiredLocked() (*mat.Pipeline, error) {
 		}
 		return unionPipeline(desireds)
 	}
-	return clonePipeline(f.members[0].desired), nil
+	return f.members[0].desired.Clone(), nil
 }
 
 // applyLocked issues one epoch carrying the given batches. When shuffle
@@ -361,7 +361,7 @@ func (f *Fabric) applyLocked(ctx context.Context, batches [][]openflow.FlowMod, 
 	// cleanly is rejected before anything reaches a wire.
 	next := make([]*mat.Pipeline, n)
 	for mi, m := range f.members {
-		p := clonePipeline(m.desired)
+		p := m.desired.Clone()
 		for bi := range perMember[mi] {
 			for i := range perMember[mi][bi] {
 				if err := openflow.ApplyToPipeline(p, &perMember[mi][bi][i]); err != nil {

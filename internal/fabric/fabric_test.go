@@ -160,7 +160,7 @@ func (h *testHarness) plan(t *testing.T, svc int, port uint16) []openflow.FlowMo
 // every mod in mods applied fault-free.
 func oracle(t *testing.T, src *mat.Pipeline, mods []openflow.FlowMod) *mat.Pipeline {
 	t.Helper()
-	p := clonePipeline(src)
+	p := src.Clone()
 	for i := range mods {
 		if err := openflow.ApplyToPipeline(p, &mods[i]); err != nil {
 			t.Fatalf("oracle apply mod %d: %v", i, err)

@@ -54,11 +54,11 @@ func Place(src *mat.Pipeline, n int, mode PlacementMode) ([]*mat.Pipeline, error
 	switch mode {
 	case Replicate:
 		for i := range out {
-			out[i] = clonePipeline(src)
+			out[i] = src.Clone()
 		}
 	case Partition:
 		for i := range out {
-			p := clonePipeline(src)
+			p := src.Clone()
 			t := p.Stages[p.Start].Table
 			var kept []mat.Entry
 			for _, e := range t.Entries {
@@ -123,19 +123,6 @@ func route(mods []openflow.FlowMod, mode PlacementMode, start uint8, n int) [][]
 		for m := 0; m < n; m++ {
 			out[m] = append(out[m], f)
 		}
-	}
-	return out
-}
-
-// clonePipeline deep-copies a pipeline (tables, schemas and entries).
-func clonePipeline(p *mat.Pipeline) *mat.Pipeline {
-	out := &mat.Pipeline{Name: p.Name, Start: p.Start, Fused: p.Fused}
-	for _, st := range p.Stages {
-		out.Stages = append(out.Stages, mat.Stage{
-			Table:    st.Table.Clone(),
-			Next:     st.Next,
-			MissDrop: st.MissDrop,
-		})
 	}
 	return out
 }

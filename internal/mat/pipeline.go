@@ -57,6 +57,15 @@ func SingleTable(t *Table) *Pipeline {
 	return &Pipeline{Name: t.Name, Stages: []Stage{{Table: t, Next: -1, MissDrop: true}}}
 }
 
+// Clone deep-copies the pipeline (tables, schemas and entries).
+func (p *Pipeline) Clone() *Pipeline {
+	out := &Pipeline{Name: p.Name, Start: p.Start, Fused: p.Fused}
+	for _, st := range p.Stages {
+		out.Stages = append(out.Stages, Stage{Table: st.Table.Clone(), Next: st.Next, MissDrop: st.MissDrop})
+	}
+	return out
+}
+
 // Validate checks the pipeline: valid tables, in-range Next links and goto
 // targets.
 func (p *Pipeline) Validate() error {
@@ -66,19 +75,32 @@ func (p *Pipeline) Validate() error {
 	if p.Start < 0 || p.Start >= len(p.Stages) {
 		return fmt.Errorf("pipeline %s: start stage %d out of range", p.Name, p.Start)
 	}
-	for si, st := range p.Stages {
-		if err := st.Table.Validate(); err != nil {
-			return fmt.Errorf("pipeline %s: stage %d: %w", p.Name, si, err)
+	for si := range p.Stages {
+		if err := p.ValidateStage(si); err != nil {
+			return err
 		}
-		if st.Next < -1 || st.Next >= len(p.Stages) {
-			return fmt.Errorf("pipeline %s: stage %d: next %d out of range", p.Name, si, st.Next)
-		}
-		if g := st.Table.Schema.Index(GotoAttr); g >= 0 {
-			for ei, e := range st.Table.Entries {
-				tgt := int(e[g].Bits)
-				if tgt < 0 || tgt >= len(p.Stages) {
-					return fmt.Errorf("pipeline %s: stage %d entry %d: goto %d out of range", p.Name, si, ei, tgt)
-				}
+	}
+	return nil
+}
+
+// ValidateStage is Validate's per-stage check, for callers that know which
+// stages changed since the pipeline last validated.
+func (p *Pipeline) ValidateStage(si int) error {
+	if si < 0 || si >= len(p.Stages) {
+		return fmt.Errorf("pipeline %s: stage %d out of range", p.Name, si)
+	}
+	st := p.Stages[si]
+	if err := st.Table.Validate(); err != nil {
+		return fmt.Errorf("pipeline %s: stage %d: %w", p.Name, si, err)
+	}
+	if st.Next < -1 || st.Next >= len(p.Stages) {
+		return fmt.Errorf("pipeline %s: stage %d: next %d out of range", p.Name, si, st.Next)
+	}
+	if g := st.Table.Schema.Index(GotoAttr); g >= 0 {
+		for ei, e := range st.Table.Entries {
+			tgt := int(e[g].Bits)
+			if tgt < 0 || tgt >= len(p.Stages) {
+				return fmt.Errorf("pipeline %s: stage %d entry %d: goto %d out of range", p.Name, si, ei, tgt)
 			}
 		}
 	}

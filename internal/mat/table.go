@@ -272,41 +272,3 @@ func (t *Table) Equal(o *Table) bool {
 	}
 	return true
 }
-
-// AmbiguousPairs returns pairs of entry indices whose match regions
-// overlap at equal total specificity: packets in the intersection have no
-// most-specific winner, so the table cannot be given priority-free
-// semantics on those inputs (the runtime evaluator errors when such a
-// packet arrives). A clean 1NF table for the most-specific-wins convention
-// has none; the check is the static, install-time companion of
-// IsOrderIndependent, which only catches *identical* match rows.
-func (t *Table) AmbiguousPairs() [][2]int {
-	fields := t.Schema.Fields()
-	total := func(e Entry) int {
-		n := 0
-		for _, fi := range fields {
-			n += int(e[fi].PLen)
-		}
-		return n
-	}
-	var out [][2]int
-	for i := 0; i < len(t.Entries); i++ {
-		for j := i + 1; j < len(t.Entries); j++ {
-			ei, ej := t.Entries[i], t.Entries[j]
-			if total(ei) != total(ej) {
-				continue
-			}
-			overlap := true
-			for _, fi := range fields {
-				if !ei[fi].Overlaps(ej[fi], t.Schema[fi].Width) {
-					overlap = false
-					break
-				}
-			}
-			if overlap {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}

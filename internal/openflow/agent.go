@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +34,14 @@ type Agent struct {
 	sw switches.Switch
 	// pipeline is the logical (control-plane-visible) pipeline state.
 	pipeline *mat.Pipeline
-	dirty    bool
+	// pending maps every stage touched since the last successful commit to
+	// the entry indices added there. FlowAdd is the only command that can
+	// create an overlap (FlowModify keeps the match cells, FlowDelete only
+	// removes regions), and committed state is unambiguous, so these rows
+	// are all a barrier has to check and these stages all it has to
+	// recompile. A rejected commit clears nothing: the offending rows are
+	// still in the pipeline, and the next barrier must reject them again.
+	pending map[int][]int
 	// ModsApplied counts flow-mods accepted since creation — the
 	// control-plane churn metric of §2/§5.
 	ModsApplied int
@@ -60,11 +68,21 @@ type Agent struct {
 const maxAcksPerReply = 1 << 15
 
 // NewAgent creates an agent fronting a switch model with an initial
-// pipeline.
+// pipeline. The pipeline is vetted like a commit: an ambiguous start
+// program is refused here instead of failing every later barrier, which
+// is also what lets those barriers check only the rows they add.
 func NewAgent(sw switches.Switch, p *mat.Pipeline, opts ...AgentOption) (*Agent, error) {
-	a := &Agent{sw: sw, pipeline: p, applied: make(map[uint32]bool)}
+	a := &Agent{sw: sw, pipeline: p, applied: make(map[uint32]bool), pending: make(map[int][]int)}
 	for _, o := range opts {
 		o(a)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, opErr("commit", 0, -1, err)
+	}
+	for si := range p.Stages {
+		if err := ambiguityErr(si, p.Stages[si].Table.AmbiguousPairs()); err != nil {
+			return nil, err
+		}
 	}
 	if err := sw.Install(p); err != nil {
 		return nil, err
@@ -229,11 +247,31 @@ func (a *Agent) DumpPipeline() ([]byte, error) {
 }
 
 func (a *Agent) applyLocked(f *FlowMod) error {
-	if err := ApplyToPipeline(a.pipeline, f); err != nil {
+	idx, err := applyFlowMod(a.pipeline, f)
+	if err != nil {
 		return err
 	}
 	a.ModsApplied++
-	a.dirty = true
+	stage := int(f.TableID)
+	added := a.pending[stage]
+	switch f.Command {
+	case FlowAdd:
+		added = append(added, idx)
+	case FlowDelete:
+		// The entries behind the deleted one moved down a slot.
+		kept := added[:0]
+		for _, r := range added {
+			if r == idx {
+				continue
+			}
+			if r > idx {
+				r--
+			}
+			kept = append(kept, r)
+		}
+		added = kept
+	}
+	a.pending[stage] = added
 	return nil
 }
 
@@ -242,75 +280,102 @@ func (a *Agent) applyLocked(f *FlowMod) error {
 // so controllers (the fabric) can track each switch's desired state with
 // exactly the switch's own semantics.
 func ApplyToPipeline(p *mat.Pipeline, f *FlowMod) error {
+	_, err := applyFlowMod(p, f)
+	return err
+}
+
+// applyFlowMod is ApplyToPipeline returning the index of the entry the
+// flow-mod added, rewrote or removed.
+func applyFlowMod(p *mat.Pipeline, f *FlowMod) (int, error) {
 	if f == nil {
-		return badFrame("nil flow-mod")
+		return -1, badFrame("nil flow-mod")
 	}
 	if int(f.TableID) >= len(p.Stages) {
-		return opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("%w: table %d out of range", ErrUnsupported, f.TableID))
+		return -1, opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("%w: table %d out of range", ErrUnsupported, f.TableID))
 	}
 	t := p.Stages[f.TableID].Table
 
 	match, err := matchRow(t, f.Match)
 	if err != nil {
-		return opErr("flow-mod", 0, int(f.TableID), err)
+		return -1, opErr("flow-mod", 0, int(f.TableID), err)
 	}
 	idx := findEntry(t, match)
 
 	switch f.Command {
 	case FlowAdd:
 		if idx >= 0 {
-			return opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("duplicate entry in table %d", f.TableID))
+			return -1, opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("duplicate entry in table %d", f.TableID))
 		}
 		row, err := fullRow(t, match, f.Actions)
 		if err != nil {
-			return opErr("flow-mod", 0, int(f.TableID), err)
+			return -1, opErr("flow-mod", 0, int(f.TableID), err)
 		}
+		idx = len(t.Entries)
 		t.Entries = append(t.Entries, row)
 	case FlowModify:
 		if idx < 0 {
-			return opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("modify: no such entry in table %d", f.TableID))
+			return -1, opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("modify: no such entry in table %d", f.TableID))
 		}
 		row, err := fullRow(t, match, f.Actions)
 		if err != nil {
-			return opErr("flow-mod", 0, int(f.TableID), err)
+			return -1, opErr("flow-mod", 0, int(f.TableID), err)
 		}
 		t.Entries[idx] = row
 	case FlowDelete:
 		if idx < 0 {
-			return opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("delete: no such entry in table %d", f.TableID))
+			return -1, opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("delete: no such entry in table %d", f.TableID))
 		}
 		t.Entries = append(t.Entries[:idx], t.Entries[idx+1:]...)
 	default:
-		return opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("%w: unknown flow-mod command %d", ErrUnsupported, f.Command))
+		return -1, opErr("flow-mod", 0, int(f.TableID), fmt.Errorf("%w: unknown flow-mod command %d", ErrUnsupported, f.Command))
 	}
-	return nil
+	return idx, nil
 }
 
-// Commit reinstalls the logical pipeline into the switch if it changed —
-// the barrier semantics.
+// Commit brings the switch up to the logical pipeline — the barrier
+// semantics — at a cost set by what the flow-mods since the last commit
+// touched, not by the size of the program: only the touched stages are
+// re-validated and recompiled, and only the rows added to them are checked
+// for ambiguity. The verdict is the one a check of the whole pipeline
+// gives, because everything committed earlier already passed it.
 func (a *Agent) Commit() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.dirty {
+	if len(a.pending) == 0 {
 		return nil
 	}
-	if err := a.pipeline.Validate(); err != nil {
-		return opErr("commit", 0, -1, err)
+	dirty := make([]int, 0, len(a.pending))
+	for si := range a.pending {
+		dirty = append(dirty, si)
+	}
+	sort.Ints(dirty)
+	for _, si := range dirty {
+		if err := a.pipeline.ValidateStage(si); err != nil {
+			return opErr("commit", 0, -1, err)
+		}
 	}
 	// Install-time classifier validation: a flow-mod batch must not
 	// create entries whose regions overlap at equal specificity — such
 	// packets would have no most-specific winner.
-	for si := range a.pipeline.Stages {
-		if amb := a.pipeline.Stages[si].Table.AmbiguousPairs(); len(amb) > 0 {
-			return opErr("commit", 0, si, fmt.Errorf("table %d has ambiguous entries %v; rejecting commit", si, amb[0]))
+	for _, si := range dirty {
+		if err := ambiguityErr(si, a.pipeline.Stages[si].Table.AmbiguousWith(a.pending[si])); err != nil {
+			return err
 		}
 	}
-	if err := a.sw.Install(a.pipeline); err != nil {
+	if err := a.sw.Update(a.pipeline, dirty); err != nil {
 		return opErr("commit", 0, -1, err)
 	}
 	a.sw.ApplyMods(1)
-	a.dirty = false
+	clear(a.pending)
 	return nil
+}
+
+// ambiguityErr turns a stage's ambiguous pairs into the commit rejection.
+func ambiguityErr(stage int, amb [][2]int) error {
+	if len(amb) == 0 {
+		return nil
+	}
+	return opErr("commit", 0, stage, fmt.Errorf("table %d has ambiguous entries %v; rejecting commit", stage, amb[0]))
 }
 
 // Stats reports the agent's control-plane telemetry (telemetry.Provider):
@@ -368,9 +433,10 @@ func matchRow(t *mat.Table, fields []MatchField) ([]mat.Cell, error) {
 
 // findEntry locates the entry with exactly the given match cells.
 func findEntry(t *mat.Table, match []mat.Cell) int {
+	fields := t.Schema.Fields()
 	for ei, e := range t.Entries {
 		same := true
-		for _, fi := range t.Schema.Fields() {
+		for _, fi := range fields {
 			if e[fi] != match[fi] {
 				same = false
 				break

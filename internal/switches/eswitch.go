@@ -22,8 +22,6 @@ import (
 // per-core forwarding contexts for the parallel harness.
 type ESwitch struct {
 	dpSwitch
-	// ctx backs the single-threaded packet-level Process convenience.
-	ctx *dataplane.Ctx
 }
 
 // NewESwitch creates an unprogrammed ESwitch model.
@@ -39,13 +37,12 @@ func (s *ESwitch) Name() string { return "eswitch" }
 // Install recompiles the datapath with per-table template specialization
 // and publishes it; live workers pick it up on their next frame.
 func (s *ESwitch) Install(p *mat.Pipeline) error {
-	dp, err := dataplane.Compile(p, dataplane.AutoTemplates, s.dpOpts()...)
-	if err != nil {
-		return fmt.Errorf("eswitch: %w", err)
-	}
-	s.ctx = dp.NewCtx()
-	s.dp.Store(dp)
-	return nil
+	return s.install("eswitch", p, dataplane.AutoTemplates)
+}
+
+// Update re-specializes the templates of the dirty stages only.
+func (s *ESwitch) Update(p *mat.Pipeline, dirty []int) error {
+	return s.update("eswitch", p, dirty)
 }
 
 // Process classifies through the specialized templates (single-threaded

@@ -1,8 +1,6 @@
 package switches
 
 import (
-	"fmt"
-
 	"manorm/internal/classifier"
 	"manorm/internal/dataplane"
 	"manorm/internal/mat"
@@ -21,7 +19,6 @@ import (
 // paid on the concurrent frame paths exactly as on the packet path.
 type Lagopus struct {
 	dpSwitch
-	ctx *dataplane.Ctx
 }
 
 // NewLagopus creates an unprogrammed Lagopus model.
@@ -37,13 +34,12 @@ func (s *Lagopus) Name() string { return "lagopus" }
 
 // Install programs the interpreted pipeline.
 func (s *Lagopus) Install(p *mat.Pipeline) error {
-	dp, err := dataplane.Compile(p, dataplane.FixedTemplate(classifier.ForceTupleSpace), s.dpOpts()...)
-	if err != nil {
-		return fmt.Errorf("lagopus: %w", err)
-	}
-	s.ctx = dp.NewCtx()
-	s.dp.Store(dp)
-	return nil
+	return s.install("lagopus", p, dataplane.FixedTemplate(classifier.ForceTupleSpace))
+}
+
+// Update reprograms the dirty stages of the interpreted pipeline.
+func (s *Lagopus) Update(p *mat.Pipeline, dirty []int) error {
+	return s.update("lagopus", p, dirty)
 }
 
 // Process lifts the packet into the generic record representation (the

@@ -25,7 +25,6 @@ import (
 //     loses ~20× throughput while the normalized one is unaffected.
 type NoviFlow struct {
 	dpSwitch
-	ctx     *dataplane.Ctx
 	entries []int // per-stage entry counts of the installed pipeline
 }
 
@@ -41,16 +40,24 @@ func (s *NoviFlow) Name() string { return "noviflow" }
 
 // Install programs the TCAM stages.
 func (s *NoviFlow) Install(p *mat.Pipeline) error {
-	dp, err := dataplane.Compile(p, dataplane.AutoTemplates, s.dpOpts()...)
-	if err != nil {
-		return fmt.Errorf("noviflow: %w", err)
+	if err := s.install("noviflow", p, dataplane.AutoTemplates); err != nil {
+		return err
 	}
-	s.ctx = dp.NewCtx()
 	s.entries = nil
 	for i := range p.Stages {
 		s.entries = append(s.entries, len(p.Stages[i].Table.Entries))
 	}
-	s.dp.Store(dp)
+	return nil
+}
+
+// Update rewrites the dirty TCAM stages and their entry gauges.
+func (s *NoviFlow) Update(p *mat.Pipeline, dirty []int) error {
+	if err := s.update("noviflow", p, dirty); err != nil {
+		return err
+	}
+	for _, si := range dirty {
+		s.entries[si] = len(p.Stages[si].Table.Entries)
+	}
 	return nil
 }
 

@@ -113,6 +113,20 @@ func (s *OVS) Install(p *mat.Pipeline) error {
 	return nil
 }
 
+// Update reprograms the dirty stages of the slow path and bumps the
+// revalidation epoch, so every shard's EMC and megaflow cache is flushed
+// before it forwards on the new snapshot. The layer-hit statistics keep
+// counting.
+func (s *OVS) Update(p *mat.Pipeline, dirty []int) error {
+	dp, err := recompile("ovs", s.slow.Load(), p, dirty)
+	if err != nil {
+		return err
+	}
+	s.slow.Store(dp)
+	s.epoch.Add(1)
+	return nil
+}
+
 func keyOf(p *packet.Packet) ovsKey {
 	return ovsKey{
 		src: p.IPSrc, dst: p.IPDst,

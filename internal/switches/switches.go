@@ -89,8 +89,18 @@ func buildCfg(opts []Option) modelCfg {
 type Switch interface {
 	// Name identifies the model ("ovs", "eswitch", ...).
 	Name() string
-	// Install programs the pipeline, replacing any previous program.
+	// Install programs the pipeline, replacing any previous program: a
+	// from-scratch compile, whatever was installed before.
 	Install(p *mat.Pipeline) error
+	// Update brings the installed program up to p, which must be the
+	// pipeline last installed with only the entries of the dirty stages
+	// changed: those stages are recompiled, every other compiled table is
+	// shared with the snapshot in-flight workers are still using, and the
+	// new snapshot is published with the same pointer swap as Install —
+	// the cost of a barrier is what its batch touched. Fused programs
+	// (mat.Pipeline.Fused) are install-time-only: Update recompiles them
+	// whole.
+	Update(p *mat.Pipeline, dirty []int) error
 	// Process forwards one packet. For software models this performs the
 	// real classification work that the benchmarks time. Single-threaded;
 	// parallel drivers go through ProcessFrame/ProcessBatch or NewWorker.
@@ -117,7 +127,9 @@ type Switch interface {
 	// invalidating whatever state the model caches.
 	ApplyMods(n int) error
 	// Counters snapshots the per-entry packet counters of one pipeline
-	// stage (the OpenFlow multipart flow-stats view).
+	// stage (the OpenFlow multipart flow-stats view). Counts survive an
+	// Update that leaves the stage clean; the counters of a recompiled
+	// (dirty) stage, and all counters on Install, restart at zero.
 	Counters(stage int) []uint64
 	// Perf exposes the model's analytic performance parameters.
 	Perf() PerfModel
@@ -226,6 +238,9 @@ type dpSwitch struct {
 	dp   atomic.Pointer[dataplane.Pipeline]
 	pool sync.Pool
 	lift bool
+	// ctx backs the models' single-threaded packet-level Process
+	// convenience; it is re-provisioned with every published snapshot.
+	ctx *dataplane.Ctx
 	// reg is the optional metrics registry (WithTelemetry); Install passes
 	// it to dataplane.Compile so per-stage instruments register there.
 	reg *telemetry.Registry
@@ -248,6 +263,46 @@ func (s *dpSwitch) dpOpts() []dataplane.Option {
 		opts = append(opts, dataplane.WithSchema(s.dec.Schema()))
 	}
 	return opts
+}
+
+// install compiles p from scratch with the model's template selector and
+// publishes it; live workers pick it up on their next frame.
+func (s *dpSwitch) install(model string, p *mat.Pipeline, sel dataplane.TemplateSelector) error {
+	dp, err := dataplane.Compile(p, sel, s.dpOpts()...)
+	if err != nil {
+		return fmt.Errorf("%s: %w", model, err)
+	}
+	s.publish(dp)
+	return nil
+}
+
+// update recompiles the dirty stages of the installed program from p and
+// publishes the new snapshot, which shares every clean table with the old.
+func (s *dpSwitch) update(model string, p *mat.Pipeline, dirty []int) error {
+	dp, err := recompile(model, s.dp.Load(), p, dirty)
+	if err != nil {
+		return err
+	}
+	s.publish(dp)
+	return nil
+}
+
+// recompile is the step every model's Update starts with: the installed
+// snapshot's dirty stages lowered afresh from p.
+func recompile(model string, installed *dataplane.Pipeline, p *mat.Pipeline, dirty []int) (*dataplane.Pipeline, error) {
+	if installed == nil {
+		return nil, errNotProgrammed
+	}
+	dp, err := installed.Recompile(p, dirty)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", model, err)
+	}
+	return dp, nil
+}
+
+func (s *dpSwitch) publish(dp *dataplane.Pipeline) {
+	s.ctx = dp.NewCtx()
+	s.dp.Store(dp)
 }
 
 func (s *dpSwitch) newDPWorker() *dpWorker {
