@@ -1,8 +1,8 @@
 GO ?= go
 
 .PHONY: build test lint race check fuzz-smoke fuzz-replay confluence-smoke \
-	incremental-smoke fabric-smoke soak-smoke benchguard benchguard-update \
-	bench parallel profile quickstart
+	incremental-smoke fabric-smoke soak-smoke bench-smoke bench profile \
+	quickstart
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,7 @@ test:
 # lint is the static tier: formatting drift fails the build the same way
 # a vet diagnostic does.
 lint:
-	@unformatted="$$(gofmt -l cmd internal examples *.go)"; \
+	@unformatted="$$(gofmt -l cmd internal examples benchmark *.go)"; \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
@@ -84,39 +84,27 @@ fabric-smoke:
 soak-smoke:
 	$(GO) run ./cmd/mabench -experiment soak -duration 60s
 
-# benchguard re-measures the multi-core scaling workload and compares
-# its shape against the checked-in BENCH_parallel.json baseline (±20%
-# per (switch, rep) aggregate, host-normalized); -require-rep asserts
-# the fused row family was actually measured rather than dropping out
-# of the intersection the comparison scores, and -require-wire that the
-# struct-path rows of the wire dimension (frames vs structs ingest) were
-# measured too. benchguard-update refreshes the baseline after an
-# intentional performance change.
-# -measured-out persists the fresh rows before the comparison, so a
-# failing CI gate still uploads what was actually measured as an
-# artifact (see .github/workflows/ci.yml).
-benchguard:
-	$(GO) run ./cmd/benchguard -require-rep fused -require-wire structs -measured-out benchguard-measured.json
-
-benchguard-update:
-	$(GO) run ./cmd/benchguard -update -current BENCH_parallel.json -runs 5 -require-rep fused -require-wire structs
+# bench-smoke is the repo benchmark (benchmark/, declared in
+# BENCHMARK.json — the only performance yardstick) run short: one second
+# per timed phase on every workload, per-layer trace off. It exits 1 when
+# any of a workload's ~28 700 reference checks disagrees; it gates
+# correctness of what the benchmark measures, not speed — a PR that claims
+# or risks a number follows the paired -out / -compare recipe in README
+# "Testing", scored against the bounds in BENCHMARK.json.
+bench-smoke:
+	bash benchmark/run.sh --workload all --seed 1 --seconds 1 --trace 0
 
 # check is the single gate CI runs — .github/workflows/ci.yml calls
 # exactly this target, so a green `make check` locally is a green build.
-check: lint build test race fuzz-smoke fuzz-replay confluence-smoke incremental-smoke fabric-smoke soak-smoke benchguard
+check: lint build test race fuzz-smoke fuzz-replay confluence-smoke incremental-smoke fabric-smoke soak-smoke bench-smoke
 
 bench:
 	$(GO) test -p 1 -bench=. -benchmem ./...
 
-# parallel runs the multi-core scaling experiment and writes
-# BENCH_parallel.json.
-parallel:
-	$(GO) run ./cmd/mabench -workers 8 -json
-
-# profile captures a CPU profile of a short instrumented benchmark run.
+# profile captures a CPU profile of a short Table 1 run.
 # Inspect it with `go tool pprof cpu.prof`.
 profile:
-	$(GO) run ./cmd/mabench -experiment static -quick -metrics -cpuprofile cpu.prof
+	$(GO) run ./cmd/mabench -experiment static -quick -cpuprofile cpu.prof
 	@echo "wrote cpu.prof (go tool pprof cpu.prof)"
 
 quickstart:

@@ -1,5 +1,5 @@
 // Top-level benchmarks: one per table/figure of the paper, delegating to
-// the measurement harness and substrates. Run with
+// the substrates. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"manorm/internal/bench"
 	"manorm/internal/controlplane"
 	"manorm/internal/core"
 	"manorm/internal/dataplane"
@@ -26,7 +25,7 @@ import (
 // benchSwitch measures one (switch, representation) cell of Table 1 as a
 // packet-processing loop.
 func benchSwitch(b *testing.B, swName string, rep usecases.Representation) {
-	sw, err := bench.NewSwitch(swName)
+	sw, err := switches.New(swName)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func BenchmarkTable1NoviFlowGoto(b *testing.B) { benchSwitch(b, "noviflow", usec
 // against the single-frame benches above shows the amortization of worker
 // checkout and datapath revalidation.
 func benchSwitchBatch(b *testing.B, swName string, rep usecases.Representation) {
-	sw, err := bench.NewSwitch(swName)
+	sw, err := switches.New(swName)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,51 +1,25 @@
 // Command mabench regenerates the paper's evaluation artifacts — every
-// table and figure plus the ablations indexed in DESIGN.md — on the switch
-// models of this repository.
+// table and figure plus the ablations and correctness smokes indexed in
+// DESIGN.md — on the switch models of this repository. The experiments are
+// the entries of bench.Experiments(); `mabench -h` lists them.
 //
 // Usage:
 //
-//	mabench -experiment all            # everything (default)
+//	mabench                            # -experiment all: every entry but soak
 //	mabench -experiment static         # Table 1
 //	mabench -experiment reactive       # Fig. 4
-//	mabench -experiment footprint      # E1 (§2 redundancy)
-//	mabench -experiment control        # E2 (§2 controllability)
-//	mabench -experiment monitor        # E3 (§2 monitorability)
-//	mabench -experiment l3             # E6 (Fig. 2 at scale)
-//	mabench -experiment caveat         # E7 (Fig. 3)
-//	mabench -experiment sdx            # E8 (appendix Fig. 5)
-//	mabench -experiment joins          # A1
-//	mabench -experiment depth          # A2
-//	mabench -experiment nf4            # beyond-3NF extension (MVD split)
-//	mabench -experiment churnwire      # E2b: update burst cost over TCP
-//	mabench -experiment faultchurn     # E2c: update burst under channel faults
-//	mabench -experiment fabricchurn    # E9: multi-switch fabric under partitioned churn
-//	mabench -experiment cache          # OVS cache layers under Zipf traffic
-//	mabench -experiment parallel       # multi-core scaling over sharded workers
-//	mabench -experiment schemas        # shipped non-default schemas (VXLAN,
-//	                                   # MPLS, GTP-U) through the programmable
-//	                                   # parser, all switch models
-//	mabench -experiment soak           # E10: sustained soak — forwarding +
-//	                                   # churn + channel faults concurrently,
-//	                                   # with drift/p99 gates (-duration sets
-//	                                   # the soak length; not part of "all",
-//	                                   # which is duration-unbounded otherwise)
-//
-// -workers W runs the multi-core scaling experiment with worker counts
-// doubling up to W (`mabench -workers 8` is shorthand for
-// `-experiment parallel` with an 8-worker ceiling); -json additionally
-// writes the scaling results to BENCH_parallel.json (-o redirects them
-// elsewhere, which is how `make benchguard` takes a throwaway measurement
-// without clobbering the checked-in baseline).
+//	mabench -experiment soak -duration 60s
 //
 // -quick trades measurement accuracy for speed (used by the smoke tests).
+// -workers, -fabric and -duration size the parallel/schemas, fabricchurn
+// and soak experiments. Speed claims are not made from mabench output: the
+// repo benchmark (benchmark/run.sh) is the yardstick.
 //
-// Observability (see the README's "Observability" section): -metrics
-// instruments the measured switches and embeds telemetry snapshots in the
-// JSON results; -trace-sample N prints paired per-packet pipeline
-// witnesses (universal vs goto) after the experiments, failing on any
-// verdict disagreement; -metrics-addr serves JSON metrics plus
-// net/http/pprof during the run; -cpuprofile captures a CPU profile
-// (`make profile`).
+// Observability (see the README's "Observability" section): -trace-sample
+// N prints paired per-packet pipeline witnesses (universal vs goto) after
+// the experiments, failing on any verdict disagreement; -metrics-addr
+// serves net/http/pprof during the run; -cpuprofile captures a CPU profile
+// (`make profile`). The shared -json and -schema flags have no effect here.
 package main
 
 import (
@@ -54,84 +28,45 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
-	"time"
 
 	"manorm/internal/bench"
 	"manorm/internal/cliflags"
 	"manorm/internal/telemetry"
 )
 
-// parallelJSONPath is where -json drops the machine-readable scaling
-// results.
-const parallelJSONPath = "BENCH_parallel.json"
-
-// options carries the multi-core experiment knobs through run.
-type options struct {
-	// workers is the ceiling of the scaling curve (counts double up to it).
-	workers int
-	// fabric is the member count for the fabric-churn experiment.
-	fabric int
-	// jsonPath, when non-empty, receives the scaling results as JSON.
-	jsonPath string
-	// traceSample > 0 prints witness pairs (universal vs decomposed) for
-	// every Nth packet of the standard workload after the experiments.
-	traceSample int
-	// duration overrides the soak experiment's run length (0 keeps the
-	// spec default).
-	duration time.Duration
-}
-
 func main() {
+	cfg := bench.DefaultConfig()
 	var (
 		experiment = flag.String("experiment", "all", "which experiment to run")
 		quick      = flag.Bool("quick", false, "short measurement loops")
-		services   = flag.Int("services", 20, "number of services (N)")
-		backends   = flag.Int("backends", 8, "backends per service (M)")
-		seed       = flag.Int64("seed", 42, "workload seed")
-		packets    = flag.Int("packets", 0, "override the per-measurement packet count (0 keeps the config default)")
-		workers    = flag.Int("workers", 0, "max workers for the parallel scaling experiment (implies -experiment parallel)")
-		fabricN    = flag.Int("fabric", 3, "switch count for the fabric-churn experiment")
-		metrics    = flag.Bool("metrics", false, "instrument measured switches and embed telemetry snapshots in JSON results")
-		jsonOut    = flag.String("o", "", "write -json output to this path instead of "+parallelJSONPath)
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (see `make profile`)")
+		services   = flag.Int("services", cfg.Services, "number of services (N)")
+		backends   = flag.Int("backends", cfg.Backends, "backends per service (M)")
+		seed       = flag.Int64("seed", cfg.Seed, "workload seed")
+		workers    = flag.Int("workers", cfg.Workers, "max workers for the parallel and schemas experiments")
+		fabricN    = flag.Int("fabric", cfg.Fabric, "switch count for the fabric-churn experiment")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this `file` (see make profile)")
 		duration   = flag.Duration("duration", 0, "soak experiment length (0 keeps the 60s default)")
 	)
 	obs := cliflags.Register(flag.CommandLine)
+	flag.Usage = usage
 	flag.Parse()
 
-	cfg := bench.DefaultConfig()
 	if *quick {
 		cfg = bench.QuickConfig()
 	}
 	cfg.Services = *services
 	cfg.Backends = *backends
 	cfg.Seed = *seed
-	cfg.Telemetry = *metrics
-	if *packets > 0 {
-		cfg.Packets = *packets
-	}
-
-	if *workers < 0 {
+	cfg.Workers = *workers
+	cfg.Fabric = *fabricN
+	cfg.Duration = *duration
+	if cfg.Workers < 1 {
 		fmt.Fprintln(os.Stderr, "mabench: -workers must be >= 1")
 		os.Exit(2)
 	}
-	if *workers > 0 && *experiment == "all" {
-		*experiment = "parallel"
-	}
-	opts := options{workers: *workers, fabric: *fabricN, traceSample: obs.TraceSample, duration: *duration}
-	if opts.workers <= 0 {
-		opts.workers = 8
-	}
-	if obs.JSON {
-		opts.jsonPath = parallelJSONPath
-		if *jsonOut != "" {
-			opts.jsonPath = *jsonOut
-		}
-	}
 
-	// The metrics endpoint of a batch run mainly buys live pprof profiling
-	// of the measurement loops; the per-phase registries live inside the
-	// harness and land in the JSON results instead.
+	// The metrics endpoint of a batch run buys live pprof profiling of the
+	// measurement loops.
 	if srv, err := obs.Serve(telemetry.NewRegistry()); err != nil {
 		fmt.Fprintln(os.Stderr, "mabench:", err)
 		os.Exit(1)
@@ -156,170 +91,51 @@ func main() {
 		}()
 	}
 
-	if err := run(*experiment, cfg, opts); err != nil {
+	err := run(os.Stdout, *experiment, cfg)
+	if err == nil {
+		err = traceDemo(os.Stdout, cfg, obs.TraceSample)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mabench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment string, cfg bench.Config, opts options) error {
-	w := os.Stdout
-	sep := func() { fmt.Fprintln(w) }
-
-	runOne := func(name string) error {
-		switch name {
-		case "footprint":
-			rows, err := bench.Footprint([]int{cfg.Services}, []int{2, 4, 8, 16, 32, 64}, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			bench.RenderFootprint(w, rows)
-		case "control":
-			rows, err := bench.Control(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderControl(w, rows)
-		case "monitor":
-			rows, err := bench.Monitor(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderMonitor(w, rows)
-		case "reactive":
-			rows, err := bench.Fig4(bench.DefaultUpdateRates(), cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderFig4(w, rows)
-		case "static":
-			rows, err := bench.Table1(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderTable1(w, rows)
-		case "l3":
-			rows, err := bench.L3Experiment([][3]int{{16, 4, 2}, {64, 8, 3}, {256, 16, 4}, {1024, 32, 8}}, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			bench.RenderL3(w, rows)
-		case "caveat":
-			r, err := bench.Caveat()
-			if err != nil {
-				return err
-			}
-			bench.RenderCaveat(w, r)
-		case "sdx":
-			r, err := bench.SDX()
-			if err != nil {
-				return err
-			}
-			bench.RenderSDX(w, r)
-		case "joins":
-			rows, err := bench.Joins(cfg)
-			if err != nil {
-				return err
-			}
-			bench.RenderJoins(w, rows)
-		case "depth":
-			rows, err := bench.Depth(256, 16, 4, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			bench.RenderDepth(w, rows)
-		case "cache":
-			rows, err := bench.CacheLayers(cfg, []int{100, 1000, 10000, 100000})
-			if err != nil {
-				return err
-			}
-			bench.RenderCache(w, rows)
-		case "churnwire":
-			rows, err := bench.WireChurn(cfg, 40)
-			if err != nil {
-				return err
-			}
-			bench.RenderWireChurn(w, rows)
-		case "faultchurn":
-			rows, err := bench.FaultChurn(cfg, 24, bench.DefaultFaultGrid())
-			if err != nil {
-				return err
-			}
-			bench.RenderFaultChurn(w, rows)
-		case "fabricchurn":
-			rows, err := bench.FabricChurn(cfg, 12, bench.DefaultFabricGrid(opts.fabric))
-			if err != nil {
-				return err
-			}
-			bench.RenderFabricChurn(w, rows)
-			for _, r := range rows {
-				if !r.Report.OK() {
-					return fmt.Errorf("fabric did not converge (%s): %s\n%s", r.Spec, r.Report, r.Report.Witness)
-				}
-			}
-		case "nf4":
-			rows, err := bench.NF4([][3]int{{4, 4, 4}, {8, 8, 4}, {16, 8, 8}})
-			if err != nil {
-				return err
-			}
-			bench.RenderNF4(w, rows)
-		case "soak":
-			// Duration-bounded by construction; excluded from "all" so the
-			// full artifact run stays wall-clock bounded by the measurement
-			// configs alone.
-			spec := bench.DefaultSoakSpec()
-			if opts.duration > 0 {
-				spec.Duration = opts.duration
-			}
-			r, err := bench.Soak(cfg, spec)
-			if err != nil {
-				return err
-			}
-			bench.RenderSoak(w, r)
-			if !r.OK() {
-				return fmt.Errorf("soak gates failed: %d violation(s)", len(r.Violations))
-			}
-		case "schemas":
-			rows, err := bench.SchemaTable(cfg, opts.workers)
-			if err != nil {
-				return err
-			}
-			bench.RenderSchemas(w, rows)
-		case "parallel":
-			rows, err := bench.ParallelTable(cfg, opts.workers)
-			if err != nil {
-				return err
-			}
-			bench.RenderParallel(w, rows)
-			if opts.jsonPath != "" {
-				if err := bench.WriteParallelJSON(opts.jsonPath, cfg, opts.workers, rows); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "wrote %s\n", opts.jsonPath)
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
+// usage prints the experiment list from the registry, then the flags.
+func usage() {
+	out := flag.CommandLine.Output()
+	fmt.Fprintln(out, "usage: mabench [flags]\n\nexperiments (-experiment NAME; \"all\" runs those marked *):")
+	for _, e := range bench.Experiments() {
+		mark := " "
+		if e.InAll {
+			mark = "*"
 		}
-		return nil
+		fmt.Fprintf(out, "  %s %-12s %s\n", mark, e.Name, e.Doc)
 	}
+	fmt.Fprintln(out, "\nflags:")
+	flag.PrintDefaults()
+}
 
-	if experiment != "all" {
-		if err := runOne(experiment); err != nil {
+// run executes the named registry entry, or every InAll entry for "all".
+func run(w io.Writer, name string, cfg bench.Config) error {
+	all := name == "all"
+	found := false
+	for _, e := range bench.Experiments() {
+		if e.Name != name && !(all && e.InAll) {
+			continue
+		}
+		found = true
+		if err := e.Run(w, cfg); err != nil {
 			return err
 		}
-		return traceDemo(w, cfg, opts.traceSample)
-	}
-	for _, name := range []string{
-		"footprint", "control", "monitor", "reactive", "static",
-		"l3", "caveat", "sdx", "joins", "depth", "nf4", "churnwire",
-		"faultchurn", "fabricchurn", "cache", "parallel", "schemas",
-	} {
-		if err := runOne(name); err != nil {
-			return err
+		if all {
+			fmt.Fprintln(w)
 		}
-		sep()
 	}
-	return traceDemo(w, cfg, opts.traceSample)
+	if !found {
+		return fmt.Errorf("unknown experiment %q (see mabench -h)", name)
+	}
+	return nil
 }
 
 // traceDemo prints sampled per-packet witness pairs — the same packet

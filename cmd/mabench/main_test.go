@@ -1,112 +1,67 @@
 package main
 
 import (
-	"encoding/json"
+	"io"
 	"os"
-	"path/filepath"
 	"testing"
+	"time"
 
 	"manorm/internal/bench"
-	"manorm/internal/usecases"
 )
 
-// TestAllExperimentsRun smoke-tests every experiment the tool exposes with
-// the quick config; output goes to the test log via stdout.
+// slow names the registry entries that stay out of -short runs: the
+// measurement-heavy ones and those that dial TCP and sleep through injected
+// faults.
+var slow = map[string]bool{
+	"static": true, "joins": true, "parallel": true, "schemas": true,
+	"faultchurn": true, "fabricchurn": true, "soak": true,
+}
+
+// TestAllExperimentsRun walks the registry under a scaled-down quick
+// config, so a new entry is smoke-tested the moment it is listed. Output
+// goes to the test log via stdout.
 func TestAllExperimentsRun(t *testing.T) {
 	cfg := bench.QuickConfig()
-	for _, exp := range []string{
-		"footprint", "control", "monitor", "reactive",
-		"l3", "caveat", "sdx", "depth", "nf4", "churnwire", "cache",
-	} {
-		if err := run(exp, cfg, options{workers: 2}); err != nil {
-			t.Errorf("%s: %v", exp, err)
-		}
-	}
-}
+	cfg.Packets, cfg.LatencySamples = 5000, 500
+	cfg.Workers = 2
+	cfg.Duration = 3 * time.Second
 
-// The measurement-heavy experiments get their own test so a slow machine
-// can still see the cheap ones pass quickly.
-func TestMeasurementExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measurement experiments skipped in -short mode")
-	}
-	cfg := bench.QuickConfig()
-	cfg.Packets = 5000
-	cfg.LatencySamples = 500
-	for _, exp := range []string{"static", "joins"} {
-		if err := run(exp, cfg, options{workers: 2}); err != nil {
-			t.Errorf("%s: %v", exp, err)
-		}
-	}
-}
-
-// TestParallelExperimentWritesJSON runs the multi-core scaling experiment
-// end to end and checks the -json artifact: per-switch, per-representation,
-// per-worker-count rows.
-func TestParallelExperimentWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measurement experiments skipped in -short mode")
-	}
-	cfg := bench.QuickConfig()
-	cfg.Packets = 5000
-	path := filepath.Join(t.TempDir(), "BENCH_parallel.json")
-	if err := run("parallel", cfg, options{workers: 2, jsonPath: path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bench.ParallelReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	// 4 switches × 3 representations (universal, goto, fused) × (2 worker
-	// counts on the frames path + 1 struct-path row of the wire dimension).
-	if len(rep.Results) != 36 {
-		t.Errorf("got %d result rows, want 36", len(rep.Results))
-	}
 	seen := map[string]bool{}
-	fused, structs := 0, 0
-	for _, r := range rep.Results {
-		seen[r.Switch] = true
-		if r.Rep == usecases.RepFused {
-			fused++
+	for _, e := range bench.Experiments() {
+		if seen[e.Name] || e.Name == "all" {
+			t.Errorf("experiment name %q is duplicated or reserved", e.Name)
 		}
-		if r.Wire == "structs" {
-			structs++
+		seen[e.Name] = true
+		if e.Doc == "" || e.Run == nil {
+			t.Errorf("%s: registry entry lacks Doc or Run", e.Name)
 		}
-		if r.RateMpps <= 0 {
-			t.Errorf("%s/%s @%d: non-positive rate", r.Switch, r.Rep, r.Workers)
+		if e.InAll == (e.Name == "soak") {
+			t.Errorf("%s: InAll = %v; \"all\" is every experiment but the duration-bound soak", e.Name, e.InAll)
 		}
+		t.Run(e.Name, func(t *testing.T) {
+			if slow[e.Name] && testing.Short() {
+				t.Skip("measurement and fault-injection experiments skipped in -short mode")
+			}
+			c := cfg
+			if e.Name == "faultchurn" || e.Name == "fabricchurn" {
+				c.Services, c.Backends = 4, 3
+			}
+			if err := run(os.Stdout, e.Name, c); err != nil {
+				t.Error(err)
+			}
+		})
 	}
-	if fused != 12 {
-		t.Errorf("got %d fused rows, want 12", fused)
-	}
-	if structs != 12 {
-		t.Errorf("got %d struct-path rows, want 12", structs)
-	}
-	if len(seen) != 4 {
-		t.Errorf("results cover %d switches, want 4", len(seen))
-	}
-}
-
-// TestFaultChurnExperimentRuns drives the churn-under-faults sweep on a
-// scaled-down workload; it dials TCP and sleeps through injected jitter,
-// so it stays out of -short runs.
-func TestFaultChurnExperimentRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault-injection experiment skipped in -short mode")
-	}
-	cfg := bench.QuickConfig()
-	cfg.Services, cfg.Backends = 4, 3
-	if err := run("faultchurn", cfg, options{workers: 2}); err != nil {
-		t.Fatal(err)
+	for name := range slow {
+		if !seen[name] {
+			t.Errorf("slow list names %q, which is not in the registry", name)
+		}
 	}
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := run("warp-drive", bench.QuickConfig(), options{workers: 2}); err == nil {
-		t.Errorf("unknown experiment accepted")
+	for _, name := range []string{"warp-drive", "cache", "churnwire"} {
+		if err := run(io.Discard, name, bench.QuickConfig()); err == nil {
+			t.Errorf("unknown experiment %q accepted", name)
+		}
 	}
 }

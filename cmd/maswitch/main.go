@@ -154,7 +154,7 @@ func run(o options) error {
 	}
 	o.schema = ""
 	reg := telemetry.NewRegistry()
-	sw, err := bench.NewSwitch(o.swName, switches.WithTelemetry(reg))
+	sw, err := switches.New(o.swName, switches.WithTelemetry(reg))
 	if err != nil {
 		return err
 	}
@@ -221,7 +221,6 @@ func run(o options) error {
 			return err
 		}
 	}
-	var meter stats.RateMeter
 	lat := stats.NewReservoir(8192, o.seed)
 	mismatches := 0
 	start := time.Now()
@@ -249,14 +248,7 @@ func run(o options) error {
 			mismatches++
 		}
 	}
-	meter.Record(int64(o.packets), time.Since(start))
-
-	pm := sw.Perf()
-	rate := meter.Mpps()
-	if pm.HWLineRateMpps > 0 {
-		rate = pm.HWLineRateMpps
-	}
-	return report(o, rate, meter.Mpps(), lat, mismatches, sink, reg)
+	return report(o, sw, time.Since(start), lat, mismatches, sink, reg)
 }
 
 // runSchema is the protocol-independent forwarding run (-schema): the
@@ -271,7 +263,7 @@ func runSchema(o options) error {
 		return err
 	}
 	reg := telemetry.NewRegistry()
-	sw, err := bench.NewSwitch(o.swName, switches.WithTelemetry(reg), switches.WithSchema(dec))
+	sw, err := switches.New(o.swName, switches.WithTelemetry(reg), switches.WithSchema(dec))
 	if err != nil {
 		return err
 	}
@@ -317,7 +309,6 @@ func runSchema(o options) error {
 			return err
 		}
 	}
-	var meter stats.RateMeter
 	lat := stats.NewReservoir(8192, o.seed)
 	mismatches := 0
 	start := time.Now()
@@ -347,19 +338,18 @@ func runSchema(o options) error {
 			mismatches++
 		}
 	}
-	meter.Record(int64(o.packets), time.Since(start))
-
-	pm := sw.Perf()
-	rate := meter.Mpps()
-	if pm.HWLineRateMpps > 0 {
-		rate = pm.HWLineRateMpps
-	}
-	return report(o, rate, meter.Mpps(), lat, mismatches, sink, reg)
+	return report(o, sw, time.Since(start), lat, mismatches, sink, reg)
 }
 
 // report prints (or JSON-encodes, -json) the forwarding-run summary
-// shared by the canonical and -schema paths.
-func report(o options, rate, loopMpps float64, lat *stats.Reservoir, mismatches int, sink *telemetry.TraceSink, reg *telemetry.Registry) error {
+// shared by the canonical and -schema paths. elapsed is the timed loop's
+// wall time over o.packets; a hardware model reports its line rate.
+func report(o options, sw switches.Switch, elapsed time.Duration, lat *stats.Reservoir, mismatches int, sink *telemetry.TraceSink, reg *telemetry.Registry) error {
+	loopMpps := float64(o.packets) / elapsed.Seconds() / 1e6
+	rate := loopMpps
+	if pm := sw.Perf(); pm.HWLineRateMpps > 0 {
+		rate = pm.HWLineRateMpps
+	}
 	if o.jsonOut {
 		var s summary
 		s.Switch, s.Rep, s.Schema, s.Packets = o.swName, o.rep, o.schema, o.packets
@@ -428,7 +418,7 @@ func runFabric(o options) error {
 	fmt.Printf("maswitch: fabric of %d members, %s placement of %s (%d stages, %d entries)\n",
 		o.fabric, mode, o.rep, p.Depth(), p.EntryCount())
 	for i, mp := range placed {
-		sw, err := bench.NewSwitch(o.swName)
+		sw, err := switches.New(o.swName)
 		if err != nil {
 			return err
 		}

@@ -1,25 +1,25 @@
-// Package bench is the measurement harness behind cmd/mabench and the
-// top-level Go benchmarks: it regenerates every table and figure of the
-// paper's evaluation (§2 claims, Table 1, Fig. 4) plus the ablations
-// called out in DESIGN.md, on the switch models of internal/switches.
+// Package bench is the experiment registry behind cmd/mabench: it
+// regenerates every table and figure of the paper's evaluation (§2 claims,
+// Table 1, Fig. 4) plus the ablations and correctness smokes called out in
+// DESIGN.md, on the switch models of internal/switches. Experiments lists
+// them; each entry measures, renders and gates itself.
 //
 // Absolute Mpps numbers depend on the host; what the harness is built to
 // reproduce are the paper's shapes: who wins, by what factor, and where
-// the behavior flips (see EXPERIMENTS.md).
+// the behavior flips (see EXPERIMENTS.md). Speed claims are stated in the
+// repo benchmark (benchmark/), not here.
 package bench
 
 import (
-	"fmt"
 	"time"
 
+	"manorm/internal/packet"
 	"manorm/internal/stats"
 	"manorm/internal/switches"
-	"manorm/internal/telemetry"
-	"manorm/internal/trafficgen"
 	"manorm/internal/usecases"
 )
 
-// Config controls measurement effort.
+// Config controls measurement effort and the size of the sized experiments.
 type Config struct {
 	// Services (N) and Backends (M): the paper uses 20 and 8.
 	Services, Backends int
@@ -29,23 +29,27 @@ type Config struct {
 	LatencySamples int
 	// Seed drives workload generation.
 	Seed int64
-	// Telemetry instruments the measured switch with a fresh metrics
-	// registry and attaches a per-phase snapshot (per-stage lookup counts,
-	// processing-latency percentiles, cache-layer breakdowns) to the
-	// result. It perturbs the hot path — a few atomic ops per packet — so
-	// headline numbers are normally measured with it off.
+	// Telemetry attaches the fabric's metrics registry snapshot (epoch
+	// lag, per-member divergence gauges) to each fabric-churn row.
 	Telemetry bool
+	// Workers is the ceiling of the multi-core scaling curve (counts
+	// double up to it); Fabric is the fabric-churn member count; Duration
+	// overrides the soak length (0 keeps the spec's 60s). They are
+	// mabench's -workers, -fabric and -duration.
+	Workers  int
+	Fabric   int
+	Duration time.Duration
 }
 
 // DefaultConfig mirrors the paper's setup: 20 random services, 8 backends,
 // 64-byte packets.
 func DefaultConfig() Config {
-	return Config{Services: 20, Backends: 8, Packets: 400_000, LatencySamples: 40_000, Seed: 42}
+	return Config{Services: 20, Backends: 8, Packets: 400_000, LatencySamples: 40_000, Seed: 42, Workers: 8, Fabric: 3}
 }
 
 // QuickConfig is a fast variant for tests.
 func QuickConfig() Config {
-	return Config{Services: 20, Backends: 8, Packets: 30_000, LatencySamples: 4_000, Seed: 42}
+	return Config{Services: 20, Backends: 8, Packets: 30_000, LatencySamples: 4_000, Seed: 42, Workers: 8, Fabric: 3}
 }
 
 // StaticResult is one (switch, representation) cell pair of Table 1.
@@ -61,66 +65,25 @@ type StaticResult struct {
 	// Templates lists the per-stage classifier templates (ESwitch's
 	// explanatory variable).
 	Templates []string
-	// Stats is the end-of-measurement telemetry snapshot (registry
-	// instruments plus the model's Stats view); nil unless
-	// Config.Telemetry was set.
-	Stats *telemetry.Snapshot `json:"telemetry,omitempty"`
 }
-
-// NewSwitch constructs a switch model by name. Options (e.g.
-// switches.WithTelemetry) pass through to the model constructor.
-func NewSwitch(name string, opts ...switches.Option) (switches.Switch, error) {
-	sw, err := switches.New(name, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %w", err)
-	}
-	return sw, nil
-}
-
-// instrumented builds a switch by name, attaching a fresh registry (with
-// the model registered as its "switch" sub-provider) when cfg.Telemetry
-// is set. snapshot() captures the phase snapshot, or returns nil with
-// telemetry off.
-func instrumented(name string, cfg Config, extra ...switches.Option) (switches.Switch, func() *telemetry.Snapshot, error) {
-	if !cfg.Telemetry {
-		sw, err := NewSwitch(name, extra...)
-		return sw, func() *telemetry.Snapshot { return nil }, err
-	}
-	reg := telemetry.NewRegistry()
-	sw, err := NewSwitch(name, append([]switches.Option{switches.WithTelemetry(reg)}, extra...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	reg.Register("switch", sw)
-	return sw, func() *telemetry.Snapshot {
-		snap := reg.Snapshot()
-		return &snap
-	}, nil
-}
-
-// SwitchNames lists the evaluated switches in the paper's column order.
-func SwitchNames() []string { return switches.ModelNames() }
 
 // MeasureStatic runs the static-performance measurement of Table 1 for one
 // switch and representation.
 func MeasureStatic(swName string, rep usecases.Representation, cfg Config) (*StaticResult, error) {
-	sw, snapshot, err := instrumented(swName, cfg)
+	sw, err := switches.New(swName)
 	if err != nil {
 		return nil, err
 	}
-	g := usecases.Generate(cfg.Services, cfg.Backends, cfg.Seed)
-	p, err := g.Build(rep)
+	// Measurements run on 64-byte wire frames: each processed packet pays
+	// for header parsing (with checksum verification) plus
+	// classification, as a real software datapath does.
+	p, frames, err := SchemaWorkload(packet.SchemaDefault, rep, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if err := sw.Install(p); err != nil {
 		return nil, err
 	}
-	stream := trafficgen.GwLB(g, 4096, 1.0, cfg.Seed+1)
-	// Measurements run on 64-byte wire frames: each processed packet pays
-	// for header parsing (with checksum verification) plus
-	// classification, as a real software datapath does.
-	frames, _ := trafficgen.Wire(stream)
 
 	// Warm-up cycle (fills the OVS cache, faults in everything).
 	for _, f := range frames {
@@ -162,7 +125,6 @@ func MeasureStatic(swName string, rep usecases.Representation, cfg Config) (*Sta
 	}
 	p75 := res75.Quantile(0.75)
 	res.ServiceNsP75 = p75
-	res.Stats = snapshot()
 
 	if pm.HWLineRateMpps > 0 {
 		// Hardware: line rate; latency from the pipeline-depth model.
@@ -184,7 +146,7 @@ func MeasureStatic(swName string, rep usecases.Representation, cfg Config) (*Sta
 // compiler-fused form as the zero-join reference point.
 func Table1(cfg Config) ([]*StaticResult, error) {
 	var out []*StaticResult
-	for _, sw := range SwitchNames() {
+	for _, sw := range switches.ModelNames() {
 		for _, rep := range []usecases.Representation{usecases.RepUniversal, usecases.RepGoto, usecases.RepFused} {
 			r, err := MeasureStatic(sw, rep, cfg)
 			if err != nil {

@@ -286,15 +286,6 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
-func TestNewSwitchUnknown(t *testing.T) {
-	if _, err := NewSwitch("cisco"); err == nil {
-		t.Errorf("unknown switch accepted")
-	}
-	if _, err := MeasureStatic("cisco", usecases.RepGoto, QuickConfig()); err == nil {
-		t.Errorf("unknown switch measured")
-	}
-}
-
 func TestNF4Experiment(t *testing.T) {
 	rows, err := NF4([][3]int{{4, 4, 4}, {8, 8, 4}})
 	if err != nil {
@@ -320,32 +311,5 @@ func TestNF4Experiment(t *testing.T) {
 	RenderNF4(&buf, rows)
 	if !strings.Contains(buf.String(), "->>") {
 		t.Errorf("NF4 render missing MVD arrow: %s", buf.String())
-	}
-}
-
-func TestCacheLayers(t *testing.T) {
-	cfg := QuickConfig()
-	rows, err := CacheLayers(cfg, []int{100, 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.SlowPct > 5 {
-			t.Errorf("%s/%d flows: %.1f%% slow-path; caches not absorbing", r.Rep, r.Flows, r.SlowPct)
-		}
-		// Megaflow count tracks pipeline paths (≤ N×M), not traffic.
-		if r.Megaflows > cfg.Services*cfg.Backends+1 {
-			t.Errorf("%s/%d flows: %d megaflows > N*M paths", r.Rep, r.Flows, r.Megaflows)
-		}
-	}
-	// Small populations live in the EMC; large ones lean on megaflows.
-	small, large := rows[0], rows[1]
-	if small.EMCHitPct < large.EMCHitPct {
-		t.Errorf("EMC share did not shrink with population: %.1f -> %.1f", small.EMCHitPct, large.EMCHitPct)
-	}
-	var buf bytes.Buffer
-	RenderCache(&buf, rows)
-	if !strings.Contains(buf.String(), "megaflows") {
-		t.Errorf("render missing header")
 	}
 }

@@ -128,6 +128,22 @@ func FabricChurn(cfg Config, updates int, specs []FabricSpec) ([]*FabricChurnRow
 	return out, nil
 }
 
+// runFabricChurn is the registry entry: 12 updates over the published grid
+// on cfg.Fabric members, gated on the convergence checker's verdict.
+func runFabricChurn(w io.Writer, cfg Config) error {
+	rows, err := FabricChurn(cfg, 12, DefaultFabricGrid(cfg.Fabric))
+	if err != nil {
+		return err
+	}
+	RenderFabricChurn(w, rows)
+	for _, r := range rows {
+		if !r.Report.OK() {
+			return fmt.Errorf("fabric did not converge (%s): %s\n%s", r.Spec, r.Report, r.Report.Witness)
+		}
+	}
+	return nil
+}
+
 // FabricChurnOne drives one fabric of agent-backed switches over TCP
 // through a seeded schedule of partitions, an optional mid-frame cut and
 // frame loss while churning service ports, then heals everything,

@@ -2,18 +2,15 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
-	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
+	"manorm/internal/confluence"
 	"manorm/internal/controlplane"
 	"manorm/internal/faultconn"
-	"manorm/internal/mat"
 	"manorm/internal/openflow"
 	"manorm/internal/switches"
 	"manorm/internal/telemetry"
@@ -100,6 +97,23 @@ func FaultChurn(cfg Config, updates int, specs []FaultSpec) ([]*FaultChurnRow, e
 		}
 	}
 	return out, nil
+}
+
+// runFaultChurn is the registry entry: 24 updates over the published grid,
+// gated on exactly-once delivery — every run must end in the fault-free
+// run's state.
+func runFaultChurn(w io.Writer, cfg Config) error {
+	rows, err := FaultChurn(cfg, 24, DefaultFaultGrid())
+	if err != nil {
+		return err
+	}
+	RenderFaultChurn(w, rows)
+	for _, r := range rows {
+		if !r.StateOK {
+			return fmt.Errorf("switch state diverged from the fault-free run (%s, %s)", r.Rep, r.Spec)
+		}
+	}
+	return nil
 }
 
 // FaultChurnOne runs the update burst twice — once over a clean pipe to
@@ -189,7 +203,7 @@ func FaultChurnOne(cfg Config, rep usecases.Representation, updates int, fs Faul
 	}
 	wall := time.Since(start)
 
-	gotState, err := canonicalState(agent.Pipeline())
+	gotState, err := confluence.CanonicalState(agent.Pipeline())
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +255,7 @@ func faultFreeReference(cfg Config, rep usecases.Representation, updates int) (s
 	if err := runChurn(context.Background(), ctl, g, updates); err != nil {
 		return "", 0, err
 	}
-	state, err := canonicalState(agent.Pipeline())
+	state, err := confluence.CanonicalState(agent.Pipeline())
 	if err != nil {
 		return "", 0, err
 	}
@@ -250,40 +264,6 @@ func faultFreeReference(cfg Config, rep usecases.Representation, updates int) (s
 	// update.
 	frames := 1 + int(m.Counters["mods_sent"]) + updates
 	return state, frames, nil
-}
-
-// canonicalState serializes a pipeline with each table's entries sorted,
-// so runs that applied the same mods in different orders (resends after
-// drops arrive late) compare equal — matching semantics are order-free.
-func canonicalState(p *mat.Pipeline) (string, error) {
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return "", err
-	}
-	var jp struct {
-		Name   string `json:"name"`
-		Start  int    `json:"start"`
-		Stages []struct {
-			Table struct {
-				Name    string          `json:"name"`
-				Attrs   json.RawMessage `json:"attrs"`
-				Entries [][]string      `json:"entries"`
-			} `json:"table"`
-			Next     int  `json:"next"`
-			MissDrop bool `json:"miss_drop"`
-		} `json:"stages"`
-	}
-	if err := json.Unmarshal(raw, &jp); err != nil {
-		return "", err
-	}
-	for si := range jp.Stages {
-		e := jp.Stages[si].Table.Entries
-		sort.Slice(e, func(i, j int) bool {
-			return strings.Join(e[i], "|") < strings.Join(e[j], "|")
-		})
-	}
-	out, err := json.Marshal(jp)
-	return string(out), err
 }
 
 // RenderFaultChurn prints the churn-under-faults comparison.

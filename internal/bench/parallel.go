@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -12,7 +10,6 @@ import (
 	"manorm/internal/dataplane"
 	"manorm/internal/packet"
 	"manorm/internal/switches"
-	"manorm/internal/telemetry"
 	"manorm/internal/trafficgen"
 	"manorm/internal/usecases"
 )
@@ -25,68 +22,66 @@ const parallelBatch = 64
 // ParallelResult is one point of the multi-core scaling curve: a switch
 // and representation driven by W workers over disjoint traffic shards.
 type ParallelResult struct {
-	Switch string                  `json:"switch"`
-	Rep    usecases.Representation `json:"rep"`
+	Switch string
+	Rep    usecases.Representation
 	// Workers is the number of forwarding goroutines.
-	Workers int `json:"workers"`
-	// Schema names the header schema the workload ran under; empty for
-	// the canonical (default) schema, so pre-schema baselines parse
-	// unchanged.
-	Schema string `json:"schema,omitempty"`
-	// Wire names the ingest path: empty for the frame path (wire bytes
-	// through ProcessBatch — the default, and the only path pre-wire
-	// baselines contain) or "structs" for the legacy struct handoff
-	// (pre-parsed Packets through Process).
-	Wire string `json:"wire,omitempty"`
+	Workers int
+	// Schema names the header schema the workload ran under
+	// (packet.SchemaDefault for the canonical parser).
+	Schema string
 	// RateMpps is the aggregate forwarding rate over all workers
 	// (wall-clock: total packets / elapsed time).
-	RateMpps float64 `json:"mpps"`
+	RateMpps float64
 	// Speedup is RateMpps relative to the 1-worker rate of the same
-	// switch and representation (1.0 for the 1-worker row itself; 0 when
-	// no 1-worker baseline was measured).
-	Speedup float64 `json:"speedup"`
+	// switch, schema and representation (1.0 for the 1-worker row itself;
+	// 0 when no 1-worker baseline was measured).
+	Speedup float64
 	// Packets is the total packet count forwarded during the timed run.
-	Packets int `json:"packets"`
-	// Stats is the end-of-run telemetry snapshot; nil unless
-	// Config.Telemetry was set.
-	Stats *telemetry.Snapshot `json:"telemetry,omitempty"`
+	Packets int
 }
 
 // MeasureParallel measures the aggregate forwarding rate of one switch and
-// representation with `workers` forwarding goroutines. Each goroutine owns
-// a dedicated switch Worker (its own scratch packet, metadata registers
-// and — for OVS — flow-cache shard) and a disjoint round-robin shard of
-// the traffic, the model's equivalent of per-core NIC queues under RSS.
-// The hot loop runs ProcessBatch over fixed-size frame batches; the rate
-// is wall-clock aggregate across all workers.
+// representation with `workers` forwarding goroutines, on the use case of
+// the named header schema (SchemaWorkload). Under a non-default schema the
+// switch runs in schema mode: frames decode through the compiled parse
+// graph. Each goroutine owns a dedicated switch Worker (its own scratch
+// packet, metadata registers and — for OVS — flow-cache shard) and a
+// disjoint round-robin shard of the traffic, the model's equivalent of
+// per-core NIC queues under RSS. The hot loop runs ProcessBatch over
+// fixed-size frame batches; the rate is wall-clock aggregate across all
+// workers.
 //
 // The hardware model (NoviFlow) forwards at line rate regardless of how
 // many harness cores feed it, so its curve is flat at HWLineRateMpps; the
 // batches still execute for functional verification.
-func MeasureParallel(swName string, rep usecases.Representation, cfg Config, workers int) (*ParallelResult, error) {
+func MeasureParallel(swName, schema string, rep usecases.Representation, cfg Config, workers int) (*ParallelResult, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("bench: workers must be >= 1, got %d", workers)
 	}
-	sw, snapshot, err := instrumented(swName, cfg)
+	var opts []switches.Option
+	if schema != packet.SchemaDefault {
+		dec, err := packet.BuiltinDecoder(schema)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, switches.WithSchema(dec))
+	}
+	sw, err := switches.New(swName, opts...)
 	if err != nil {
 		return nil, err
 	}
-	g := usecases.Generate(cfg.Services, cfg.Backends, cfg.Seed)
-	p, err := g.Build(rep)
+	p, frames, err := SchemaWorkload(schema, rep, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if err := sw.Install(p); err != nil {
 		return nil, err
 	}
-	stream := trafficgen.GwLB(g, 4096, 1.0, cfg.Seed+1)
-	frames, _ := trafficgen.Wire(stream)
-
 	total, elapsed, err := runParallelFrames(sw, frames, cfg.Packets, workers)
 	if err != nil {
 		return nil, err
 	}
-	res := &ParallelResult{Switch: swName, Rep: rep, Workers: workers, Packets: total, Stats: snapshot()}
+	res := &ParallelResult{Switch: swName, Rep: rep, Workers: workers, Schema: schema, Packets: total}
 	if pm := sw.Perf(); pm.HWLineRateMpps > 0 {
 		res.RateMpps = pm.HWLineRateMpps
 		return res, nil
@@ -187,16 +182,16 @@ func ScalingWorkerCounts(max int) []int {
 	return append(counts, max)
 }
 
-// ParallelScaling measures the multi-core scaling curve of one switch and
-// representation: worker counts doubling from 1 up to maxWorkers. Speedup
-// is reported relative to the 1-worker rate.
-func ParallelScaling(swName string, rep usecases.Representation, cfg Config, maxWorkers int) ([]*ParallelResult, error) {
+// ParallelScaling measures one switch, schema and representation at each
+// of the given worker counts. Speedup is reported relative to the 1-worker
+// rate.
+func ParallelScaling(swName, schema string, rep usecases.Representation, cfg Config, counts []int) ([]*ParallelResult, error) {
 	var out []*ParallelResult
 	base := 0.0
-	for _, w := range ScalingWorkerCounts(maxWorkers) {
-		r, err := MeasureParallel(swName, rep, cfg, w)
+	for _, w := range counts {
+		r, err := MeasureParallel(swName, schema, rep, cfg, w)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s/%s/%s: %w", schema, swName, rep, err)
 		}
 		if w == 1 {
 			base = r.RateMpps
@@ -209,119 +204,68 @@ func ParallelScaling(swName string, rep usecases.Representation, cfg Config, max
 	return out, nil
 }
 
-// MeasureParallelStructs measures the legacy struct-handoff path of one
-// switch and representation: pre-parsed Packets through the
-// single-threaded Process API, one struct copy per call (the honest cost
-// of handing a mutable Packet to a datapath that rewrites headers). Paired
-// with the 1-worker frame-path row, the ratio isolates what wire decode
-// plus the batch surface cost — the benchguard "wire" dimension.
-func MeasureParallelStructs(swName string, rep usecases.Representation, cfg Config) (*ParallelResult, error) {
-	sw, snapshot, err := instrumented(swName, cfg)
-	if err != nil {
-		return nil, err
-	}
-	g := usecases.Generate(cfg.Services, cfg.Backends, cfg.Seed)
-	p, err := g.Build(rep)
-	if err != nil {
-		return nil, err
-	}
-	if err := sw.Install(p); err != nil {
-		return nil, err
-	}
-	pkts := trafficgen.GwLB(g, 4096, 1.0, cfg.Seed+1).Packets()
-
-	var scratch packet.Packet
-	for _, src := range pkts {
-		scratch = *src
-		if _, err := sw.Process(&scratch); err != nil {
-			return nil, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < cfg.Packets; i++ {
-		scratch = *pkts[i%len(pkts)]
-		if _, err := sw.Process(&scratch); err != nil {
-			return nil, err
-		}
-	}
-	elapsed := time.Since(start)
-
-	res := &ParallelResult{Switch: swName, Rep: rep, Workers: 1, Wire: "structs",
-		Packets: cfg.Packets, Stats: snapshot()}
-	if pm := sw.Perf(); pm.HWLineRateMpps > 0 {
-		res.RateMpps = pm.HWLineRateMpps
-		return res, nil
-	}
-	res.RateMpps = float64(cfg.Packets) * 1000 / float64(elapsed.Nanoseconds())
-	return res, nil
-}
-
-// ParallelTable runs the scaling curve for every switch and the headline
-// representations (the Table 1 pair plus the compiler-fused form) — the
-// full multi-core experiment — plus one struct-path row per (switch, rep)
-// so the guard watches both ingest surfaces. The struct row's Speedup is
-// its rate relative to the 1-worker frame-path rate: the frame path's
-// decode overhead factor.
-func ParallelTable(cfg Config, maxWorkers int) ([]*ParallelResult, error) {
+// scalingTable sweeps ParallelScaling over schemas × every switch model ×
+// reps.
+func scalingTable(cfg Config, schemas []string, reps []usecases.Representation, counts []int) ([]*ParallelResult, error) {
 	var out []*ParallelResult
-	for _, sw := range SwitchNames() {
-		for _, rep := range []usecases.Representation{usecases.RepUniversal, usecases.RepGoto, usecases.RepFused} {
-			rows, err := ParallelScaling(sw, rep, cfg, maxWorkers)
-			if err != nil {
-				return nil, err
+	for _, schema := range schemas {
+		for _, sw := range switches.ModelNames() {
+			for _, rep := range reps {
+				rows, err := ParallelScaling(sw, schema, rep, cfg, counts)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, rows...)
 			}
-			out = append(out, rows...)
-			srow, err := MeasureParallelStructs(sw, rep, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if base := rows[0].RateMpps; base > 0 {
-				srow.Speedup = srow.RateMpps / base
-			}
-			out = append(out, srow)
 		}
 	}
 	return out, nil
+}
+
+// ParallelTable runs the scaling curve (worker counts doubling up to
+// cfg.Workers) under the default schema for every switch and the headline
+// representations: the Table 1 pair plus the compiler-fused form.
+func ParallelTable(cfg Config) ([]*ParallelResult, error) {
+	return scalingTable(cfg, []string{packet.SchemaDefault},
+		[]usecases.Representation{usecases.RepUniversal, usecases.RepGoto, usecases.RepFused},
+		ScalingWorkerCounts(cfg.Workers))
+}
+
+// SchemaTable is the protocol-independent forwarding experiment: every
+// shipped non-default schema over every switch model for the universal and
+// goto representations, single-worker plus the cfg.Workers ceiling — enough
+// to see both the programmable parser's base cost relative to the
+// hand-written default path and whether it scales.
+//
+// OVS is the interesting column — in schema mode its EMC and megaflow
+// layers are bypassed (they key on canonical fields), so every frame pays
+// the slow-path traversal and OVS degrades toward the interpreted models.
+func SchemaTable(cfg Config) ([]*ParallelResult, error) {
+	counts := []int{1}
+	if cfg.Workers > 1 {
+		counts = append(counts, cfg.Workers)
+	}
+	return scalingTable(cfg, []string{packet.SchemaVXLAN, packet.SchemaMPLS, packet.SchemaGTPU},
+		[]usecases.Representation{usecases.RepUniversal, usecases.RepGoto}, counts)
 }
 
 // RenderParallel prints the scaling experiment.
 func RenderParallel(w io.Writer, rows []*ParallelResult) {
 	fmt.Fprintf(w, "Multi-core scaling (extension): aggregate Mpps over sharded workers (host: %d CPUs)\n",
 		runtime.NumCPU())
-	fmt.Fprintf(w, "%-10s %-11s %-8s %-9s %-12s %-8s\n", "switch", "rep", "wire", "workers", "rate[Mpps]", "speedup")
+	fmt.Fprintf(w, "%-10s %-11s %-9s %-12s %-8s\n", "switch", "rep", "workers", "rate[Mpps]", "speedup")
 	for _, r := range rows {
-		wire := r.Wire
-		if wire == "" {
-			wire = "frames"
-		}
-		fmt.Fprintf(w, "%-10s %-11s %-8s %-9d %-12.3f %-8.2f\n", r.Switch, r.Rep, wire, r.Workers, r.RateMpps, r.Speedup)
+		fmt.Fprintf(w, "%-10s %-11s %-9d %-12.3f %-8.2f\n", r.Switch, r.Rep, r.Workers, r.RateMpps, r.Speedup)
 	}
 }
 
-// ParallelReport is the machine-readable envelope of the scaling
-// experiment (what -json writes to BENCH_parallel.json).
-type ParallelReport struct {
-	HostCPUs   int               `json:"host_cpus"`
-	MaxWorkers int               `json:"max_workers"`
-	Services   int               `json:"services"`
-	Backends   int               `json:"backends"`
-	Packets    int               `json:"packets"`
-	Results    []*ParallelResult `json:"results"`
-}
-
-// WriteParallelJSON writes the scaling results as indented JSON to path.
-func WriteParallelJSON(path string, cfg Config, maxWorkers int, rows []*ParallelResult) error {
-	rep := &ParallelReport{
-		HostCPUs:   runtime.NumCPU(),
-		MaxWorkers: maxWorkers,
-		Services:   cfg.Services,
-		Backends:   cfg.Backends,
-		Packets:    cfg.Packets,
-		Results:    rows,
+// RenderSchemas prints the protocol-independent forwarding experiment.
+func RenderSchemas(w io.Writer, rows []*ParallelResult) {
+	fmt.Fprintln(w, "Schemas (extension): shipped non-default schemas through the programmable parser")
+	fmt.Fprintf(w, "%-8s %-10s %-11s %-9s %-12s %-8s\n",
+		"schema", "switch", "rep", "workers", "rate[Mpps]", "speedup")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-8s %-10s %-11s %-9d %-12.3f %-8.2f\n",
+			r.Schema, r.Switch, r.Rep, r.Workers, r.RateMpps, r.Speedup)
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

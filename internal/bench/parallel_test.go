@@ -1,13 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"manorm/internal/packet"
+	"manorm/internal/switches"
 	"manorm/internal/usecases"
 )
 
@@ -36,8 +35,8 @@ func TestScalingWorkerCounts(t *testing.T) {
 
 func TestMeasureParallelAllSwitches(t *testing.T) {
 	cfg := parallelQuickConfig()
-	for _, sw := range SwitchNames() {
-		r, err := MeasureParallel(sw, usecases.RepGoto, cfg, 2)
+	for _, sw := range switches.ModelNames() {
+		r, err := MeasureParallel(sw, packet.SchemaDefault, usecases.RepGoto, cfg, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", sw, err)
 		}
@@ -52,7 +51,7 @@ func TestMeasureParallelAllSwitches(t *testing.T) {
 
 func TestMeasureParallelNoviFlowFlat(t *testing.T) {
 	cfg := parallelQuickConfig()
-	rows, err := ParallelScaling("noviflow", usecases.RepUniversal, cfg, 4)
+	rows, err := ParallelScaling("noviflow", packet.SchemaDefault, usecases.RepUniversal, cfg, ScalingWorkerCounts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestParallelScalingMultiCore(t *testing.T) {
 	}
 	cfg := QuickConfig()
 	cfg.Packets = 200_000
-	rows, err := ParallelScaling("eswitch", usecases.RepGoto, cfg, 8)
+	rows, err := ParallelScaling("eswitch", packet.SchemaDefault, usecases.RepGoto, cfg, ScalingWorkerCounts(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,30 +88,57 @@ func TestParallelScalingMultiCore(t *testing.T) {
 	}
 }
 
-func TestWriteParallelJSON(t *testing.T) {
-	cfg := parallelQuickConfig()
-	rows, err := ParallelScaling("eswitch", usecases.RepGoto, cfg, 2)
+// TestParallelTableRows pins the shape of the full multi-core experiment:
+// one row per switch, headline representation and worker count, all on the
+// default schema's frame path.
+func TestParallelTableRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measurement experiments skipped in -short mode")
+	}
+	cfg := QuickConfig()
+	cfg.Packets = 5000
+	cfg.Workers = 2
+	rows, err := ParallelTable(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_parallel.json")
-	if err := WriteParallelJSON(path, cfg, 2, rows); err != nil {
-		t.Fatal(err)
+	// 4 switches × 3 representations (universal, goto, fused) × 2 worker
+	// counts.
+	if len(rows) != 24 {
+		t.Errorf("got %d rows, want 24", len(rows))
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	type cell struct {
+		sw  string
+		rep usecases.Representation
 	}
-	var rep ParallelReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if rep.MaxWorkers != 2 || len(rep.Results) != 2 {
-		t.Errorf("report: max=%d results=%d", rep.MaxWorkers, len(rep.Results))
-	}
-	for _, r := range rep.Results {
-		if r.Switch != "eswitch" || r.RateMpps <= 0 {
-			t.Errorf("bad row: %+v", r)
+	perCell := map[cell][]int{}
+	for _, r := range rows {
+		c := cell{r.Switch, r.Rep}
+		perCell[c] = append(perCell[c], r.Workers)
+		if r.RateMpps <= 0 || r.Schema != packet.SchemaDefault {
+			t.Errorf("%s/%s @%d: rate %f, schema %q", r.Switch, r.Rep, r.Workers, r.RateMpps, r.Schema)
 		}
+	}
+	for _, sw := range switches.ModelNames() {
+		for _, rep := range []usecases.Representation{usecases.RepUniversal, usecases.RepGoto, usecases.RepFused} {
+			if got := perCell[cell{sw, rep}]; !reflect.DeepEqual(got, []int{1, 2}) {
+				t.Errorf("%s/%s: worker counts %v, want [1 2]", sw, rep, got)
+			}
+		}
+	}
+}
+
+// TestNewSwitchUnknown: the measurement functions reject a switch or
+// schema they have no model or workload for.
+func TestNewSwitchUnknown(t *testing.T) {
+	cfg := parallelQuickConfig()
+	if _, err := MeasureStatic("cisco", usecases.RepGoto, cfg); err == nil {
+		t.Errorf("unknown switch measured")
+	}
+	if _, err := MeasureParallel("cisco", packet.SchemaDefault, usecases.RepGoto, cfg, 1); err == nil {
+		t.Errorf("unknown switch measured")
+	}
+	if _, err := MeasureParallel("eswitch", "sctp", usecases.RepGoto, cfg, 1); err == nil {
+		t.Errorf("unknown schema measured")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"manorm/internal/switches"
 	"manorm/internal/usecases"
 )
 
@@ -17,18 +18,18 @@ func RenderTable1(w io.Writer, rows []*StaticResult) {
 	}
 	fmt.Fprintln(w, "Table 1: static performance, gateway & load-balancer (rate [Mpps], 3rd-quartile delay [us])")
 	fmt.Fprintf(w, "%-11s", "")
-	for _, sw := range SwitchNames() {
+	for _, sw := range switches.ModelNames() {
 		fmt.Fprintf(w, "  %-18s", sw)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-11s", "")
-	for range SwitchNames() {
+	for range switches.ModelNames() {
 		fmt.Fprintf(w, "  %-8s %-9s", "rate", "delay")
 	}
 	fmt.Fprintln(w)
 	for _, rep := range []usecases.Representation{usecases.RepUniversal, usecases.RepGoto, usecases.RepFused} {
 		fmt.Fprintf(w, "%-11s", rep)
-		for _, sw := range SwitchNames() {
+		for _, sw := range switches.ModelNames() {
 			r := byKey[sw+"/"+string(rep)]
 			if r == nil {
 				fmt.Fprintf(w, "  %-8s %-9s", "-", "-")

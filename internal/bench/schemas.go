@@ -2,29 +2,18 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"manorm/internal/mat"
 	"manorm/internal/packet"
-	"manorm/internal/switches"
 	"manorm/internal/trafficgen"
 	"manorm/internal/usecases"
 )
 
-// This file is the protocol-independent forwarding experiment: the three
-// shipped non-default schemas (VXLAN, MPLS, GTP-U), each with its own use
-// case, driven through the switch models in schema mode. It answers two
-// questions the canonical experiments cannot: what the programmable
-// parser costs relative to the hand-written default path, and whether the
-// paper's representation trade-offs survive a change of header schema.
-//
-// OVS is the interesting column — in schema mode its EMC and megaflow
-// layers are bypassed (they key on canonical fields), so every frame pays
-// the slow-path traversal and OVS degrades toward the interpreted models.
-
 // SchemaWorkload builds the pipeline and frame batch of one shipped
-// schema's use case: VXLAN tenant gateway, MPLS label-switching router, or
-// GTP-U mobile gateway. maswitch -schema drives the same workload.
+// schema's use case: the paper's gateway & load-balancer on 64-byte wire
+// frames under the default schema, VXLAN tenant gateway, MPLS
+// label-switching router, or GTP-U mobile gateway. maswitch -schema drives
+// the same workload.
 func SchemaWorkload(schema string, rep usecases.Representation, cfg Config) (*mat.Pipeline, [][]byte, error) {
 	var (
 		p   *mat.Pipeline
@@ -32,6 +21,13 @@ func SchemaWorkload(schema string, rep usecases.Representation, cfg Config) (*ma
 		err error
 	)
 	switch schema {
+	case packet.SchemaDefault:
+		g := usecases.Generate(cfg.Services, cfg.Backends, cfg.Seed)
+		if p, err = g.Build(rep); err != nil {
+			return nil, nil, err
+		}
+		frames, _ := trafficgen.Wire(trafficgen.GwLB(g, 4096, 1.0, cfg.Seed+1))
+		return p, frames, nil
 	case packet.SchemaVXLAN:
 		g := usecases.GenerateVXLAN(cfg.Services, cfg.Backends, cfg.Seed)
 		if p, err = g.Build(rep); err == nil {
@@ -54,92 +50,4 @@ func SchemaWorkload(schema string, rep usecases.Representation, cfg Config) (*ma
 		return nil, nil, err
 	}
 	return p, fs.Frames(), nil
-}
-
-// MeasureSchemaParallel is MeasureParallel under a shipped non-default
-// schema: the switch runs in schema mode (frames decode through the
-// compiled parse graph) and the workload is the schema's use case.
-func MeasureSchemaParallel(swName, schema string, rep usecases.Representation, cfg Config, workers int) (*ParallelResult, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("bench: workers must be >= 1, got %d", workers)
-	}
-	dec, err := packet.BuiltinDecoder(schema)
-	if err != nil {
-		return nil, err
-	}
-	sw, snapshot, err := instrumented(swName, cfg, switches.WithSchema(dec))
-	if err != nil {
-		return nil, err
-	}
-	p, frames, err := SchemaWorkload(schema, rep, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sw.Install(p); err != nil {
-		return nil, err
-	}
-	total, elapsed, err := runParallelFrames(sw, frames, cfg.Packets, workers)
-	if err != nil {
-		return nil, err
-	}
-	res := &ParallelResult{
-		Switch: swName, Rep: rep, Workers: workers, Schema: schema,
-		Packets: total, Stats: snapshot(),
-	}
-	if pm := sw.Perf(); pm.HWLineRateMpps > 0 {
-		res.RateMpps = pm.HWLineRateMpps
-		return res, nil
-	}
-	res.RateMpps = float64(total) * 1000 / float64(elapsed.Nanoseconds())
-	return res, nil
-}
-
-// SchemaNames lists the shipped non-default schemas the experiment
-// sweeps.
-func SchemaNames() []string {
-	return []string{packet.SchemaVXLAN, packet.SchemaMPLS, packet.SchemaGTPU}
-}
-
-// SchemaTable sweeps every shipped non-default schema over every switch
-// model for the universal and goto representations, single-worker plus
-// the ceiling — enough to see both the parser's base cost and whether it
-// scales.
-func SchemaTable(cfg Config, maxWorkers int) ([]*ParallelResult, error) {
-	counts := []int{1}
-	if maxWorkers > 1 {
-		counts = append(counts, maxWorkers)
-	}
-	var out []*ParallelResult
-	for _, schema := range SchemaNames() {
-		for _, sw := range SwitchNames() {
-			for _, rep := range []usecases.Representation{usecases.RepUniversal, usecases.RepGoto} {
-				base := 0.0
-				for _, w := range counts {
-					r, err := MeasureSchemaParallel(sw, schema, rep, cfg, w)
-					if err != nil {
-						return nil, fmt.Errorf("%s/%s/%s: %w", schema, sw, rep, err)
-					}
-					if w == 1 {
-						base = r.RateMpps
-					}
-					if base > 0 {
-						r.Speedup = r.RateMpps / base
-					}
-					out = append(out, r)
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// RenderSchemas prints the protocol-independent forwarding experiment.
-func RenderSchemas(w io.Writer, rows []*ParallelResult) {
-	fmt.Fprintln(w, "Schemas (extension): shipped non-default schemas through the programmable parser")
-	fmt.Fprintf(w, "%-8s %-10s %-11s %-9s %-12s %-8s\n",
-		"schema", "switch", "rep", "workers", "rate[Mpps]", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %-10s %-11s %-9d %-12.3f %-8.2f\n",
-			r.Schema, r.Switch, r.Rep, r.Workers, r.RateMpps, r.Speedup)
-	}
 }

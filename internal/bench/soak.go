@@ -102,6 +102,24 @@ type SoakResult struct {
 // OK reports whether every gate held.
 func (r *SoakResult) OK() bool { return len(r.Violations) == 0 }
 
+// runSoak is the registry entry: the CI soak for cfg.Duration (the spec's
+// 60s when zero), gated on its violations.
+func runSoak(w io.Writer, cfg Config) error {
+	spec := DefaultSoakSpec()
+	if cfg.Duration > 0 {
+		spec.Duration = cfg.Duration
+	}
+	r, err := Soak(cfg, spec)
+	if err != nil {
+		return err
+	}
+	RenderSoak(w, r)
+	if !r.OK() {
+		return fmt.Errorf("soak gates failed: %d violation(s)", len(r.Violations))
+	}
+	return nil
+}
+
 // Soak runs the sustained-load experiment: W forwarding workers cycle a
 // replayable wire trace (including malformed frames) through an
 // instrumented ESwitch while a controller churns service ports over a

@@ -1,13 +1,11 @@
-// Package stats provides the small measurement toolkit used by the
-// benchmark harness: streaming quantile estimation over a bounded
-// reservoir, simple histograms, and rate accounting.
+// Package stats provides streaming quantile estimation over a bounded
+// reservoir, used for the latency figures of the harness, the reactive
+// simulation and the control-channel client.
 package stats
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 )
 
 // Reservoir is a fixed-size uniform sample of a stream of float64
@@ -78,75 +76,3 @@ func (r *Reservoir) Mean() float64 {
 	}
 	return s / float64(len(r.data))
 }
-
-// RateMeter accumulates an event count over a measured duration and
-// reports rates in events/second and Mpps.
-type RateMeter struct {
-	events  int64
-	elapsed time.Duration
-}
-
-// Record adds n events observed over d.
-func (m *RateMeter) Record(n int64, d time.Duration) {
-	m.events += n
-	m.elapsed += d
-}
-
-// PerSecond returns events per second (0 when nothing recorded).
-func (m *RateMeter) PerSecond() float64 {
-	if m.elapsed <= 0 {
-		return 0
-	}
-	return float64(m.events) / m.elapsed.Seconds()
-}
-
-// Mpps returns the rate in million events per second.
-func (m *RateMeter) Mpps() float64 { return m.PerSecond() / 1e6 }
-
-// Histogram is a fixed-bucket histogram over [min, max).
-type Histogram struct {
-	min, max float64
-	buckets  []int64
-	under    int64
-	over     int64
-}
-
-// NewHistogram creates a histogram with n equal buckets spanning
-// [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic(fmt.Sprintf("stats: bad histogram spec [%g, %g) / %d", min, max, n))
-	}
-	return &Histogram{min: min, max: max, buckets: make([]int64, n)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.min:
-		h.under++
-	case v >= h.max:
-		h.over++
-	default:
-		i := int((v - h.min) / (h.max - h.min) * float64(len(h.buckets)))
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int64 {
-	t := h.under + h.over
-	for _, b := range h.buckets {
-		t += b
-	}
-	return t
-}
-
-// Bucket returns the count of bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// OutOfRange returns the under/over counts.
-func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }

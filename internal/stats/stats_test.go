@@ -3,7 +3,6 @@ package stats
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestReservoirExactWhenSmall(t *testing.T) {
@@ -53,47 +52,4 @@ func TestReservoirEmpty(t *testing.T) {
 	if r.Quantile(0.5) != 0 || r.Mean() != 0 {
 		t.Errorf("empty reservoir not zero-valued")
 	}
-}
-
-func TestRateMeter(t *testing.T) {
-	var m RateMeter
-	m.Record(1_000_000, 100*time.Millisecond)
-	if got := m.PerSecond(); got < 9.9e6 || got > 10.1e6 {
-		t.Errorf("PerSecond = %g", got)
-	}
-	if got := m.Mpps(); got < 9.9 || got > 10.1 {
-		t.Errorf("Mpps = %g", got)
-	}
-	var empty RateMeter
-	if empty.PerSecond() != 0 {
-		t.Errorf("empty meter nonzero")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	h.Add(-5)
-	h.Add(200)
-	if h.Total() != 102 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Bucket(0) != 10 || h.Bucket(9) != 10 {
-		t.Errorf("buckets = %d, %d; want 10, 10", h.Bucket(0), h.Bucket(9))
-	}
-	u, o := h.OutOfRange()
-	if u != 1 || o != 1 {
-		t.Errorf("out of range = %d, %d", u, o)
-	}
-}
-
-func TestHistogramPanicsOnBadSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("bad spec did not panic")
-		}
-	}()
-	NewHistogram(10, 0, 5)
 }

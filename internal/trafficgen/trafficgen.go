@@ -114,45 +114,6 @@ func Shards(frames [][]byte, n int) [][][]byte {
 	return out
 }
 
-// GwLBZipf generates gateway traffic from a finite population of flows
-// with Zipf-distributed popularity (skew s > 1): a small number of
-// elephant flows dominate, as in real traces. This is the workload that
-// exercises cache hierarchies (the OVS model's EMC vs megaflow layers).
-func GwLBZipf(g *usecases.GwLB, n, population int, skew float64, seed int64) *Stream {
-	rng := rand.New(rand.NewSource(seed))
-	if skew <= 1 {
-		skew = 1.1
-	}
-	if population < 1 {
-		population = 1
-	}
-	zipf := rand.NewZipf(rng, skew, 1, uint64(population-1))
-
-	// Fixed flow population: (client, service, sport) tuples.
-	type flow struct {
-		src   uint32
-		dst   uint32
-		sport uint16
-		dport uint16
-	}
-	flows := make([]flow, population)
-	for i := range flows {
-		svc := g.Services[rng.Intn(len(g.Services))]
-		flows[i] = flow{
-			src:   rng.Uint32(),
-			dst:   svc.VIP,
-			sport: uint16(1024 + rng.Intn(1<<14)),
-			dport: svc.Port,
-		}
-	}
-	s := &Stream{pkts: make([]*packet.Packet, n)}
-	for i := range s.pkts {
-		f := flows[zipf.Uint64()]
-		s.pkts[i] = packet.TCP4(0x020000000001, 0x02FFFFFF0001, f.src, f.dst, f.sport, f.dport)
-	}
-	return s
-}
-
 // FrameStream is a pre-generated cyclic trace of wire frames for
 // schema-mode workloads: the programs match fields the fixed Packet
 // cannot carry, so the trace is frames, produced by marshalling

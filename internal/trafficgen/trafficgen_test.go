@@ -150,42 +150,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestGwLBZipfSkew(t *testing.T) {
-	g := usecases.Generate(10, 4, 7)
-	s := GwLBZipf(g, 20000, 1000, 1.3, 5)
-	// Count per-flow frequency: the head must dominate.
-	counts := map[[2]uint64]int{}
-	for i := 0; i < s.Len(); i++ {
-		p := s.Next()
-		counts[[2]uint64{uint64(p.IPSrc), uint64(p.SrcPort)}]++
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max < s.Len()/20 {
-		t.Errorf("zipf head flow carries %d/%d packets; expected heavy skew", max, s.Len())
-	}
-	if len(counts) < 50 {
-		t.Errorf("only %d distinct flows; tail missing", len(counts))
-	}
-	// All packets must target installed services.
-	uni, _ := g.Universal()
-	dp, err := dataplane.Compile(mat.SingleTable(uni), dataplane.AutoTemplates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := dp.NewCtx()
-	for i := 0; i < 1000; i++ {
-		v, err := dp.Process(s.Next(), ctx)
-		if err != nil || v.Drop {
-			t.Fatalf("zipf packet dropped: %v %v", v, err)
-		}
-	}
-}
-
 func TestShardsDisjointAndComplete(t *testing.T) {
 	g := usecases.Generate(5, 4, 3)
 	frames, _ := Wire(GwLB(g, 1000, 1.0, 2))
