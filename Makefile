@@ -37,10 +37,14 @@ race:
 # reproducer (schema-mode ones carry their parse graph in the JSON);
 # each must still diverge with its recorded kind, so known caveats —
 # including the fused-path rematch hazard and its schema-mode twin —
-# stay detected.
+# stay detected. The last line fuzzes the indexed evaluator
+# (mat.Evaluator) against the definition of the semantics
+# (mat.Pipeline.Eval) on coverage-guided random pipelines: same output
+# record, same error, on every probe.
 fuzz-smoke:
 	$(GO) run ./cmd/mafuzz -seed 1 -duration 30s
 	$(GO) run ./cmd/mafuzz -seed 1 -duration 30s -schema-fuzz
+	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzEvaluatorMatchesEval -fuzztime 15s
 
 fuzz-replay:
 	$(GO) run ./cmd/mafuzz -replay -corpus internal/difftest/testdata/corpus

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"manorm/internal/core"
 	"manorm/internal/mat"
+	"manorm/internal/usecases"
 )
 
 const fixture = "testdata/gwlb.json"
@@ -346,5 +348,43 @@ func TestFingerprint(t *testing.T) {
 	}
 	if c := fp(tmp); c != a {
 		t.Fatalf("fingerprint depends on entry order: %s vs %s", c, a)
+	}
+}
+
+// TestVerifySaysWhatItProved: -verify reports an exhaustive check as a
+// proof with its record count — at the 10 000-rule gateway, all 347 004 —
+// and a check cut short by the probe limit as a sample, never as verified.
+func TestVerifySaysWhatItProved(t *testing.T) {
+	g := usecases.Generate(250, 40, 1)
+	tab, err := g.Universal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Normalize(tab, core.Options{Declared: g.Declared()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		limit int
+		want  string
+	}{
+		{0, "manorm: equivalence verified exhaustively over 347004 records\n"},
+		{1000, "manorm: equivalence sampled 1000 of 347004 records — not a proof\n"},
+	} {
+		var msg strings.Builder
+		if err := verifyEquiv(&msg, tab, res.Pipeline, tc.limit); err != nil {
+			t.Fatal(err)
+		}
+		if msg.String() != tc.want {
+			t.Errorf("limit %d: verify printed %q, want %q", tc.limit, msg.String(), tc.want)
+		}
+	}
+
+	bad := res.Pipeline.Clone()
+	last := bad.Stages[len(bad.Stages)-1].Table
+	last.Entries[0][last.Schema.Index("out")] = mat.Exact(0xFFFF, 16)
+	var msg strings.Builder
+	if err := verifyEquiv(&msg, tab, bad, 0); err == nil || msg.Len() != 0 {
+		t.Errorf("corrupted normal form: err=%v, printed %q; want an error and no verdict line", err, msg.String())
 	}
 }

@@ -229,38 +229,19 @@ func Check(base *mat.Pipeline, batches [][]openflow.FlowMod, opts Options) (*Ver
 // from the joint match domain, comparing observables pairwise against
 // the first representative.
 func witnessCheck(base *mat.Pipeline, reps []*final, opts Options, v *Verdict) (*Counterexample, error) {
-	pipes := make([]*mat.Pipeline, 0, len(reps)+1)
-	pipes = append(pipes, base)
-	for _, f := range reps {
-		pipes = append(pipes, f.pipe)
+	finals := make([]*mat.Pipeline, len(reps))
+	for i, f := range reps {
+		finals[i] = f.pipe
 	}
-	dom := netkat.DomainOfPipelines(pipes...)
-
-	var cex *Counterexample
-	exhaustive, err := dom.Each(opts.WitnessPackets, func(in mat.Record) error {
-		r0, err := reps[0].pipe.Eval(in.Clone())
-		if err != nil {
-			return fmt.Errorf("confluence: witness eval: %w", err)
-		}
-		o0 := r0.Observable()
-		for _, f := range reps[1:] {
-			rk, err := f.pipe.Eval(in.Clone())
-			if err != nil {
-				return fmt.Errorf("confluence: witness eval: %w", err)
-			}
-			if !o0.Equal(rk.Observable()) {
-				cex = divergentWitness(reps[0], f, in, o0, rk.Observable())
-				return errStopWitness
-			}
-		}
-		v.PacketsChecked++
-		return nil
-	})
-	if err != nil && err != errStopWitness {
-		return nil, err
+	dom := netkat.DomainOfPipelines(append([]*mat.Pipeline{base}, finals...)...)
+	res, err := netkat.Probe(dom, opts.WitnessPackets, finals...)
+	if err != nil {
+		return nil, fmt.Errorf("confluence: witness eval: %w", err)
 	}
-	v.WitnessExhaustive = exhaustive && cex == nil
-	return cex, nil
+	v.PacketsChecked += res.Agreed
+	v.WitnessExhaustive = res.Exhaustive && res.Cex == nil
+	if res.Cex == nil {
+		return nil, nil
+	}
+	return divergentWitness(reps[0], reps[res.Diverged], res.Cex), nil
 }
-
-var errStopWitness = fmt.Errorf("confluence: witness divergence")

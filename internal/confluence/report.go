@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"manorm/internal/mat"
+	"manorm/internal/netkat"
 	"manorm/internal/openflow"
 )
 
@@ -51,21 +52,17 @@ func divergentForms(a, b *final) *Counterexample {
 
 // divergentWitness builds the counterexample for two state-distinct
 // orderings that fingerprint equal but forward a probe differently.
-func divergentWitness(a, b *final, in mat.Record, oa, ob mat.Record) *Counterexample {
-	probe := make(map[string]uint64, len(in))
-	for k, v := range in {
-		probe[k] = v
-	}
+func divergentWitness(a, b *final, cex *netkat.Counterexample) *Counterexample {
 	return &Counterexample{
 		OrderA:       a.order,
 		OrderB:       b.order,
 		FingerprintA: a.fp,
 		FingerprintB: b.fp,
-		Probe:        probe,
-		ObservedA:    renderRecord(oa),
-		ObservedB:    renderRecord(ob),
+		Probe:        cex.Input,
+		ObservedA:    renderRecord(cex.A),
+		ObservedB:    renderRecord(cex.B),
 		Detail: fmt.Sprintf("orderings %v and %v forward %s differently: %s vs %s",
-			a.order, b.order, renderRecord(mat.Record(probe)), renderRecord(oa), renderRecord(ob)),
+			a.order, b.order, renderRecord(cex.Input), renderRecord(cex.A), renderRecord(cex.B)),
 	}
 }
 

@@ -314,8 +314,13 @@ func inheritAnalysis(parent *Analysis, f fd.FD, sub *mat.Table) (*Analysis, erro
 }
 
 // VerifyEquivalent checks that a pipeline is semantically equivalent to a
-// universal table over the complete finite probe domain, returning an
-// error describing the first divergence.
+// universal table on the finite probe domain of the two, returning an error
+// describing the first divergence. The check is exhaustive — a proof — while
+// the domain holds at most netkat.DefaultProbeLimit records (the 10 000-rule
+// gateway's 347 004 do); beyond that a seeded sample of that many records is
+// probed and a nil error means only that none of them diverged. Callers that
+// must tell the two apart use netkat.EquivalentPipelines or netkat.Probe,
+// which report it.
 func VerifyEquivalent(t *mat.Table, p *mat.Pipeline) error {
 	cex, _, err := netkat.EquivalentPipelines(mat.SingleTable(t), p, 0)
 	if err != nil {

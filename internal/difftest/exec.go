@@ -38,7 +38,9 @@ type truth struct {
 // programs), establishes ground truth by evaluating the universal table
 // relationally on every packet, and then cross-checks
 //
-//   - every variant's relational evaluation, packet by packet;
+//   - every variant's relational evaluation, packet by packet, on the
+//     indexed mat.Evaluator — itself cross-checked against the definition
+//     (Pipeline.Eval) on every variant and packet;
 //   - every variant against the universal table under the finite-domain
 //     NetKAT oracle (exhaustively where the joint domain is small enough,
 //     sampled otherwise);
@@ -154,10 +156,38 @@ func Execute(p *Program, cfg ExecConfig) ([]Divergence, error) {
 		expected[i] = truth{obs: out.Observable(), drop: out[mat.DropAttr] == 1, port: uint16(out["out"])}
 	}
 
-	// Relational cross-check of every other representation.
-	for _, v := range vs[1:] {
+	// Relational cross-check of every other representation, run on the
+	// indexed evaluator. The evaluator is first held to the definition
+	// (Pipeline.Eval) on the same record — output and error — so a bug in
+	// the index is reported as one (KindEvaluator) rather than as a bug in
+	// the normalizer; and once more on the record with one match field
+	// removed, an input no parsed packet is but the semantics define
+	// (an absent attribute matches only a wildcard).
+	fields := p.Table.Schema.Fields()
+	for vi, v := range vs {
+		ev := mat.NewEvaluator(v.Pipeline, mat.NewSlots())
+		agrees := func(i int, in mat.Record) (mat.Record, error, bool) {
+			out, err := ev.Eval(in)
+			want, werr := v.Pipeline.Eval(in)
+			if (err != nil) != (werr != nil) || (err == nil && !out.Equal(want)) {
+				add(KindEvaluator, v.Name, "", i, "on %v: evaluator (%v, %v), definition (%v, %v)", in, out, err, want, werr)
+				return nil, nil, false
+			}
+			return out, err, true
+		}
 		for i := range recs {
-			out, err := v.Pipeline.Eval(recs[i])
+			out, err, ok := agrees(i, recs[i])
+			if ok && len(fields) > 0 {
+				short := recs[i].Clone()
+				delete(short, p.Table.Schema[fields[i%len(fields)]].Name)
+				_, _, ok = agrees(i, short)
+			}
+			if !ok {
+				break
+			}
+			if vi == 0 {
+				continue // the universal table is the ground truth itself
+			}
 			if err != nil {
 				add(KindEval, v.Name, "", i, "%v", err)
 				break

@@ -88,19 +88,10 @@ func TestAmbiguousWithIsThePairsTouchingTheRows(t *testing.T) {
 	}
 }
 
-// BenchmarkAmbiguousPairs sizes the check on a gwlb-shaped table: exact
-// (ip_dst, tcp_dst) per service, a /4-or-/5 split of ip_src per backend.
+// BenchmarkAmbiguousPairs sizes the check on gwlb-shaped tables (gwlbTable).
 func BenchmarkAmbiguousPairs(b *testing.B) {
 	for _, services := range []int{8, 100, 500} {
-		tab := New("gwlb", Schema{F("ip_src", 32), F("ip_dst", 32), F("tcp_dst", 16), A("out", 16)})
-		for s := 0; s < services; s++ {
-			for k := 0; k < 12; k++ {
-				tab.Add(Prefix(uint64(k)<<28, 4, 32), Exact(uint64(s), 32), Exact(80, 16), Exact(uint64(k), 16))
-			}
-			for k := 24; k < 32; k++ {
-				tab.Add(Prefix(uint64(k)<<27, 5, 32), Exact(uint64(s), 32), Exact(80, 16), Exact(uint64(k), 16))
-			}
-		}
+		tab := gwlbTable(services)
 		b.Run(fmt.Sprintf("entries=%d", len(tab.Entries)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package netkat
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -108,18 +109,28 @@ func (d Domain) fields() []string {
 // exhaustive=false.
 func (d Domain) Each(limit int, fn func(mat.Record) error) (exhaustive bool, err error) {
 	names := d.fields()
+	rec := make(mat.Record, len(names))
+	return d.each(limit, names,
+		func(i int, v uint64) { rec[names[i]] = v },
+		func() error { return fn(rec) })
+}
+
+// each is the one enumeration behind Each and Probe, so that the record
+// form and the slot-vector form walk the same records in the same order:
+// set(i, v) assigns v to the attribute names[i] (names is d.fields()),
+// visit is called once per record.
+func (d Domain) each(limit int, names []string, set func(i int, v uint64), visit func() error) (exhaustive bool, err error) {
 	if len(names) == 0 {
-		return true, fn(mat.Record{})
+		return true, visit()
 	}
 	if d.Size() <= limit {
-		rec := make(mat.Record, len(names))
 		var walk func(i int) error
 		walk = func(i int) error {
 			if i == len(names) {
-				return fn(rec)
+				return visit()
 			}
 			for _, v := range d[names[i]] {
-				rec[names[i]] = v
+				set(i, v)
 				if err := walk(i + 1); err != nil {
 					return err
 				}
@@ -129,13 +140,12 @@ func (d Domain) Each(limit int, fn func(mat.Record) error) (exhaustive bool, err
 		return true, walk(0)
 	}
 	rng := rand.New(rand.NewSource(1))
-	rec := make(mat.Record, len(names))
 	for n := 0; n < limit; n++ {
-		for _, name := range names {
+		for i, name := range names {
 			vs := d[name]
-			rec[name] = vs[rng.Intn(len(vs))]
+			set(i, vs[rng.Intn(len(vs))])
 		}
-		if err := fn(rec); err != nil {
+		if err := visit(); err != nil {
 			return false, err
 		}
 	}
@@ -153,8 +163,10 @@ func (c *Counterexample) Error() string {
 	return fmt.Sprintf("netkat: programs diverge on %v: %v vs %v", c.Input, c.A, c.B)
 }
 
-// DefaultProbeLimit bounds exhaustive probing before sampling kicks in.
-const DefaultProbeLimit = 200000
+// DefaultProbeLimit bounds exhaustive probing before sampling kicks in. It
+// sits above the 347 004-record domain of the 10 000-rule gateway, so the
+// size the paper's claims matter at is checked exhaustively by default.
+const DefaultProbeLimit = 1 << 20
 
 // DomainOfPipelines builds the complete probe domain induced by the
 // tables of all given pipelines — the inputs a finite-domain equivalence
@@ -178,36 +190,113 @@ func DomainOfPipelines(ps ...*mat.Pipeline) Domain {
 // The second return value reports whether the probe set was exhaustive
 // (and therefore the equivalence exact rather than sampled).
 func EquivalentPipelines(a, b *mat.Pipeline, limit int) (*Counterexample, bool, error) {
+	res, err := Probe(DomainOfPipelines(a, b), limit, a, b)
+	return res.Cex, res.Exhaustive, err
+}
+
+// ProbeResult is what one run of Probe established.
+type ProbeResult struct {
+	// Agreed counts the records on which every pipeline was evaluated and
+	// all agreed: the whole domain (or the whole sample) when Cex is nil.
+	Agreed int
+	// Exhaustive reports whether the records were the domain's full cross
+	// product rather than a sample of it.
+	Exhaustive bool
+	// Cex is the first record on which some pipeline's observable output
+	// differed from the first pipeline's (as Cex.B and Cex.A), nil if none.
+	Cex *Counterexample
+	// Diverged is the index of that pipeline.
+	Diverged int
+}
+
+// Probe evaluates the pipelines on every record of the domain — a seeded
+// sample of limit records (DefaultProbeLimit if limit <= 0) when the domain
+// holds more — and compares each pipeline's observable output with the
+// first's, stopping at the first difference or evaluation error. Each
+// pipeline is compiled once into a mat.Evaluator and probed in slot form;
+// records are materialised only for a counterexample.
+func Probe(dom Domain, limit int, ps ...*mat.Pipeline) (ProbeResult, error) {
 	if limit <= 0 {
 		limit = DefaultProbeLimit
 	}
-	dom := DomainOfPipelines(a, b)
-
-	var cex *Counterexample
-	exhaustive, err := dom.Each(limit, func(in mat.Record) error {
-		ra, errA := a.Eval(in)
-		rb, errB := b.Eval(in)
-		if errA != nil {
-			return fmt.Errorf("pipeline %s: %w", a.Name, errA)
-		}
-		if errB != nil {
-			return fmt.Errorf("pipeline %s: %w", b.Name, errB)
-		}
-		oa, ob := ra.Observable(), rb.Observable()
-		if !oa.Equal(ob) {
-			cex = &Counterexample{Input: in.Clone(), A: oa, B: ob}
-			return errStop
-		}
-		return nil
-	})
-	if err == errStop {
-		return cex, exhaustive, nil
+	pr := newProber(dom, ps)
+	var res ProbeResult
+	var err error
+	res.Exhaustive, err = dom.each(limit, pr.names,
+		func(i int, v uint64) { pr.in.Val[pr.at[i]] = v },
+		func() error {
+			k, err := pr.probe()
+			if err != nil {
+				return fmt.Errorf("pipeline %s: %w", ps[k].Name, err)
+			}
+			if k > 0 {
+				res.Diverged = k
+				res.Cex = &Counterexample{
+					Input: pr.slots.Record(pr.in),
+					A:     pr.slots.Record(pr.out[0]).Observable(),
+					B:     pr.slots.Record(pr.out[k]).Observable(),
+				}
+				return errStop
+			}
+			res.Agreed++
+			return nil
+		})
+	if errors.Is(err, errStop) {
+		err = nil
 	}
-	return nil, exhaustive, err
+	return res, err
+}
+
+// prober is the state of one Probe run: one evaluator per pipeline over a
+// shared slot numbering, the input vector the enumeration writes the
+// domain's attributes into, and one output vector per pipeline.
+type prober struct {
+	slots *mat.Slots
+	evs   []*mat.Evaluator
+	names []string // the domain's attributes, in enumeration order
+	at    []int    // their slots
+	in    mat.Vec
+	out   []mat.Vec
+}
+
+func newProber(dom Domain, ps []*mat.Pipeline) *prober {
+	pr := &prober{slots: mat.NewSlots(), names: dom.fields()}
+	for _, p := range ps {
+		pr.evs = append(pr.evs, mat.NewEvaluator(p, pr.slots))
+	}
+	for _, name := range pr.names {
+		pr.at = append(pr.at, pr.slots.Slot(name))
+	}
+	pr.in = pr.slots.NewVec()
+	for _, s := range pr.at {
+		pr.in.Set[s] = true
+	}
+	for range ps {
+		pr.out = append(pr.out, pr.slots.NewVec())
+	}
+	return pr
+}
+
+// probe runs every evaluator on the current input. It returns the index
+// of the first pipeline whose observable output differs from pipeline 0's
+// (0 if none does), or the index of the one that failed and its error. It
+// does not allocate.
+func (pr *prober) probe() (int, error) {
+	for k, ev := range pr.evs {
+		copy(pr.out[k].Val, pr.in.Val)
+		copy(pr.out[k].Set, pr.in.Set)
+		if err := ev.Run(pr.out[k]); err != nil {
+			return k, err
+		}
+		if k > 0 && !pr.slots.ObservableEqual(pr.out[0], pr.out[k]) {
+			return k, nil
+		}
+	}
+	return 0, nil
 }
 
 // errStop terminates domain enumeration early.
-var errStop = fmt.Errorf("stop")
+var errStop = errors.New("stop")
 
 // EquivalentPolicies checks denotational equivalence of two compiled
 // policies over a domain: equal output sets on every probe.
@@ -231,7 +320,7 @@ func EquivalentPolicies(p, q Policy, dom Domain, limit int) (*Counterexample, bo
 		}
 		return nil
 	})
-	if err == errStop {
+	if errors.Is(err, errStop) {
 		return cex, exhaustive, nil
 	}
 	return nil, exhaustive, err

@@ -195,3 +195,66 @@ func TestObservableOutputs(t *testing.T) {
 		t.Errorf("link attr survived projection")
 	}
 }
+
+// TestProbeDoesNotAllocate guards the slot core: evaluating both pipelines
+// on one record and comparing their observables costs no allocation, and a
+// whole enumeration allocates a fixed handful (its closures), however many
+// records it walks.
+func TestProbeDoesNotAllocate(t *testing.T) {
+	uni, dec := mat.SingleTable(fig1a()), fig1b()
+	dom := DomainOfPipelines(uni, dec)
+	pr := newProber(dom, []*mat.Pipeline{uni, dec})
+	for i, name := range pr.names {
+		pr.in.Val[pr.at[i]] = dom[name][len(dom[name])/2]
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if k, err := pr.probe(); k != 0 || err != nil {
+			t.Fatalf("probe: diverged=%d err=%v", k, err)
+		}
+	}); n != 0 {
+		t.Errorf("one probe allocates %v times, want 0", n)
+	}
+
+	records := 0
+	walk := func() {
+		records = 0
+		_, err := dom.each(DefaultProbeLimit, pr.names,
+			func(i int, v uint64) { pr.in.Val[pr.at[i]] = v },
+			func() error {
+				records++
+				_, err := pr.probe()
+				return err
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(10, walk); n > 4 || records < 100 {
+		t.Errorf("enumerating %d records allocates %v times, want a constant handful", records, n)
+	}
+}
+
+// TestProbeComparesEveryPipelineWithTheFirst: Probe over three pipelines
+// names the one that diverges, and counts only the records all agreed on.
+func TestProbeComparesEveryPipelineWithTheFirst(t *testing.T) {
+	uni := mat.SingleTable(fig1a())
+	bad := fig1b()
+	bad.Stages[2].Table.Entries[1][1] = mat.Exact(42, 16)
+	dom := DomainOfPipelines(uni, bad)
+
+	res, err := Probe(dom, 0, uni, fig1b(), bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cex == nil || res.Diverged != 2 || res.Agreed >= dom.Size() {
+		t.Fatalf("Probe = %+v, want a counterexample from pipeline 2 before the domain's %d records ran out", res, dom.Size())
+	}
+	ok, err := Probe(dom, 0, uni, fig1b())
+	if err != nil || ok.Cex != nil || !ok.Exhaustive || ok.Agreed != dom.Size() {
+		t.Fatalf("Probe on equivalent pipelines = %+v, %v; want all %d records agreed", ok, err, dom.Size())
+	}
+	sampled, err := Probe(dom, 10, uni, fig1b())
+	if err != nil || sampled.Cex != nil || sampled.Exhaustive || sampled.Agreed != 10 {
+		t.Fatalf("Probe under a limit of 10 = %+v, %v; want a sample of 10", sampled, err)
+	}
+}

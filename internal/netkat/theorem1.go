@@ -169,10 +169,13 @@ func ProveDecomposition(t *mat.Table, x, y mat.AttrSet) ([]ProofStep, error) {
 	t6 := Seq{depSum, restSum}
 	add("KA-Seq-Dist-R (= T_XY ≫ T_XZ)", t6)
 
-	// Machine-check every consecutive pair over the complete domain.
+	// Machine-check every consecutive pair over the complete domain. The
+	// budget is the one these checks always had: policy evaluation is a
+	// walk of the term, not the indexed evaluator DefaultProbeLimit is
+	// sized for.
 	dom := DomainOf(t)
 	for i := 1; i < len(steps); i++ {
-		cex, _, err := EquivalentPolicies(steps[i-1].Policy, steps[i].Policy, dom, 0)
+		cex, _, err := EquivalentPolicies(steps[i-1].Policy, steps[i].Policy, dom, 200000)
 		if err != nil {
 			return nil, err
 		}
