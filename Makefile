@@ -1,8 +1,8 @@
 GO ?= go
 
 .PHONY: build test lint race check fuzz-smoke fuzz-replay confluence-smoke \
-	incremental-smoke fabric-smoke soak-smoke bench-smoke bench profile \
-	quickstart
+	incremental-smoke fabric-smoke soak-smoke bench-smoke leftovers bench \
+	profile quickstart
 
 build:
 	$(GO) build ./...
@@ -98,9 +98,21 @@ soak-smoke:
 bench-smoke:
 	bash benchmark/run.sh --workload all --seed 1 --seconds 1 --trace 0
 
+# leftovers fails when anything this repo's commands start is still
+# alive: the benchmark, a cmd/ binary, a test binary or a `go run` child.
+# A process left behind keeps its CPU and memory on a shared host and
+# perturbs whatever is measured next, so this is the last stage of check
+# and the last command of any working session. Each bracketed first letter
+# keeps the pattern from matching the shell that runs it.
+leftovers:
+	@left="$$(pgrep -fa '[b]enchmark|[m]a(bench|fuzz|switch|norm)|[g]o-build|\.[t]est' || true)"; \
+	if [ -n "$$left" ]; then \
+		echo "still running:"; echo "$$left"; exit 1; \
+	fi
+
 # check is the single gate CI runs — .github/workflows/ci.yml calls
 # exactly this target, so a green `make check` locally is a green build.
-check: lint build test race fuzz-smoke fuzz-replay confluence-smoke incremental-smoke fabric-smoke soak-smoke bench-smoke
+check: lint build test race fuzz-smoke fuzz-replay confluence-smoke incremental-smoke fabric-smoke soak-smoke bench-smoke leftovers
 
 bench:
 	$(GO) test -p 1 -bench=. -benchmem ./...

@@ -70,7 +70,12 @@ func WithDecodeHook(fn func(pkt *packet.Packet, view *packet.FieldView) bool) Pr
 // typed per-reason decode counters. One FrameBatch per goroutine; it is
 // not safe for concurrent use. Decode targets are loans — a view is
 // overwritten ring-capacity frames later, the default-path Packet by the
-// very next frame — so callers must not retain them.
+// very next frame — so callers must not retain them. A schema-path view
+// is more than a loan of the arena: it reads its slots out of the frame it
+// was decoded from, on first use (see packet.FieldView), so it is good
+// only while that frame's bytes are unchanged. ProcessFrames finishes
+// with each view before it returns; a caller of Decode that recycles its
+// receive buffer must do the same, or Clone the view.
 type FrameBatch struct {
 	dec  *packet.Decoder
 	ring *packet.ViewRing
@@ -139,7 +144,8 @@ func (a *FrameBatch) DropTotal() uint64 { return a.truncated + a.badHeader }
 // and return the error; the caller decides the verdict (ProcessFrames
 // drops such frames). The returned target is reused by a later Decode —
 // after ring-capacity calls on the schema path, by the very next call on
-// the default path — so callers must not retain it.
+// the default path — so callers must not retain it; a schema view also
+// aliases frame, which must stay unchanged while the view is read.
 func (a *FrameBatch) Decode(frame []byte) (*packet.Packet, *packet.FieldView, error) {
 	if a.ring != nil {
 		v := a.ring.Next()
@@ -207,7 +213,11 @@ func (a *FrameBatch) ctxFor(p *Pipeline) *Ctx {
 // the pipeline, writing the i-th verdict into out[i]. Malformed frames
 // drop, counted per reason in the arena; well-formed frames take the
 // fused fast path when the pipeline is fused and no option forces the
-// general loop. The steady-state path allocates nothing.
+// general loop. The path allocates nothing, malformed frames included
+// (the decoders return prebuilt typed errors). On the schema path decode
+// is the parse-graph walk alone; a field is extracted from the frame when
+// the pipeline, the fused loop or a decode hook first reads it, so a
+// frame costs what the program consults, not what the schema declares.
 //
 // The arena's decode mode must match the pipeline: a schema pipeline
 // needs an arena built on a decoder of the same schema, a default

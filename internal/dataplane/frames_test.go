@@ -186,7 +186,9 @@ func TestProcessFramesMatchesViewPathSchemas(t *testing.T) {
 
 // TestProcessFramesZeroAlloc guards the tentpole allocation contract: the
 // steady-state frame path allocates nothing on any builtin schema, with
-// one arena per worker at w=1 and w=4.
+// one arena per worker at w=1 and w=4 — damaged frames included: each
+// batch carries one frame cut below the first header (a counted drop) and
+// one cut mid-graph (decoded with fewer headers).
 func TestProcessFramesZeroAlloc(t *testing.T) {
 	for _, schema := range []string{packet.SchemaDefault, packet.SchemaVXLAN, packet.SchemaMPLS, packet.SchemaGTPU} {
 		var dp *Pipeline
@@ -210,6 +212,7 @@ func TestProcessFramesZeroAlloc(t *testing.T) {
 				frames = append(frames, schemaTestFrame(t, dec, schema, k))
 			}
 		}
+		frames = append(frames, frames[0][:packet.EthHeaderLen-1], frames[0][:packet.EthHeaderLen+9])
 		for _, workers := range []int{1, 4} {
 			arenas := make([]*FrameBatch, workers)
 			out := make([]Verdict, len(frames))
@@ -228,6 +231,9 @@ func TestProcessFramesZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("%s w=%d: ProcessFrames allocates %.1f/op, want 0", schema, workers, allocs)
+			}
+			if trunc, _, _ := arenas[0].Drops(); trunc == 0 {
+				t.Fatalf("%s w=%d: the cut frame was not counted as a truncated drop", schema, workers)
 			}
 		}
 	}

@@ -33,9 +33,14 @@ func (r DecodeReason) String() string {
 }
 
 // DecodeError is the typed decode failure both codecs return: the
-// classification plus the underlying error, whose message is unchanged
-// from the pre-typed form (and still unwraps, so
+// classification plus the underlying error (which still unwraps, so
 // errors.Is(err, ErrFrameTooShort) keeps working for truncations).
+//
+// The decoders build their DecodeErrors once — per decoder at Compile,
+// package-level for the hand-written codec — and return the same value
+// for every frame that fails the same way, so a malformed frame costs
+// the ingest path no allocation. The values are shared: treat them as
+// read-only, and do not expect the message to carry per-frame detail.
 type DecodeError struct {
 	Reason DecodeReason
 	Err    error
@@ -49,6 +54,11 @@ func (e *DecodeError) Unwrap() error { return e.Err }
 // DecodeReasonOf classifies err: the Reason of the DecodeError in its
 // chain, or ReasonNone for non-decode errors (and nil).
 func DecodeReasonOf(err error) DecodeReason {
+	// The decoders return *DecodeError unwrapped; asserting first keeps
+	// errors.As (whose target escapes to the heap) off the per-frame path.
+	if de, ok := err.(*DecodeError); ok {
+		return de.Reason
+	}
 	var de *DecodeError
 	if errors.As(err, &de) {
 		return de.Reason

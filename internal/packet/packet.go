@@ -2,6 +2,7 @@ package packet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -71,6 +72,15 @@ type Packet struct {
 	Payload []byte
 }
 
+// The hand-written codec's decode failures, built once (see DecodeError).
+var (
+	errShortEth = &DecodeError{Reason: ReasonTruncated,
+		Err: fmt.Errorf("%w: Ethernet header needs %d bytes", ErrFrameTooShort, EthHeaderLen)}
+	errShortVLAN   = &DecodeError{Reason: ReasonTruncated, Err: errors.New("packet: truncated VLAN tag")}
+	errBadIPv4     = &DecodeError{Reason: ReasonBadHeader, Err: errors.New("packet: bad IPv4 header")}
+	errBadIPv4Csum = &DecodeError{Reason: ReasonBadHeader, Err: errors.New("packet: bad IPv4 checksum")}
+)
+
 // Parse decodes an Ethernet frame. It accepts truncated L3/L4 (leaving the
 // corresponding Has* flags false) but rejects frames shorter than an
 // Ethernet header.
@@ -87,7 +97,7 @@ func Parse(b []byte) (*Packet, error) {
 func (p *Packet) ParseInto(b []byte) error {
 	*p = Packet{}
 	if len(b) < EthHeaderLen {
-		return &DecodeError{Reason: ReasonTruncated, Err: fmt.Errorf("%w: %d bytes", ErrFrameTooShort, len(b))}
+		return errShortEth
 	}
 	p.EthDst = mac48(b[0:6])
 	p.EthSrc = mac48(b[6:12])
@@ -95,7 +105,7 @@ func (p *Packet) ParseInto(b []byte) error {
 	off := EthHeaderLen
 	if et == EtherTypeVLAN {
 		if len(b) < off+VLANTagLen {
-			return &DecodeError{Reason: ReasonTruncated, Err: fmt.Errorf("packet: truncated VLAN tag")}
+			return errShortVLAN
 		}
 		tci := binary.BigEndian.Uint16(b[14:16])
 		p.HasVLAN = true
@@ -113,7 +123,7 @@ func (p *Packet) ParseInto(b []byte) error {
 	ip := b[off:]
 	ihl := int(ip[0]&0x0F) * 4
 	if ip[0]>>4 != 4 || ihl < IPv4HeaderLen || len(ip) < ihl {
-		return &DecodeError{Reason: ReasonBadHeader, Err: fmt.Errorf("packet: bad IPv4 header")}
+		return errBadIPv4
 	}
 	p.HasIPv4 = true
 	p.IPVerIHL = ip[0]
@@ -124,7 +134,7 @@ func (p *Packet) ParseInto(b []byte) error {
 	p.TTL = ip[8]
 	p.Proto = ip[9]
 	if Checksum(ip[:ihl]) != 0 {
-		return &DecodeError{Reason: ReasonBadHeader, Err: fmt.Errorf("packet: bad IPv4 checksum")}
+		return errBadIPv4Csum
 	}
 	p.IPSrc = binary.BigEndian.Uint32(ip[12:16])
 	p.IPDst = binary.BigEndian.Uint32(ip[16:20])

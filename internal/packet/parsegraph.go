@@ -3,6 +3,7 @@ package packet
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Transition is one edge of a parse graph: when the state's select field
@@ -28,9 +29,10 @@ type State struct {
 // headers, edges are keyed on a select field (EtherType, IP proto, UDP
 // destination port, ...). Transitions must go forward in schema header
 // order, so the graph is a DAG and every parse terminates. Compile turns
-// the graph into a table-driven Decoder once; decoding is then a loop of
-// bounds check → field extraction → one select lookup per header, with no
-// per-protocol code.
+// the graph into a table-driven Decoder once; decoding is then a walk —
+// bounds check → verify → record the header's offset → one select load
+// and lookup per header — with no per-protocol code, and every other
+// field is a fixed-offset load the view runs the first time it is read.
 type ParseGraph struct {
 	Schema *HeaderSchema    `json:"schema"`
 	Start  string           `json:"start"`
@@ -53,17 +55,41 @@ type decState struct {
 	trans   []transEdge
 	def     int // fallback next state; -1 = accept
 	verify  func([]byte) bool
+	// errVerify is what ParseInto returns when verify rejects the header,
+	// built once so that a malformed frame costs no allocation.
+	errVerify *DecodeError
 }
 
+// slotLoad is the compiled extraction of one slot: a big-endian 8-byte
+// window at byte offset off of the slot's header, shifted right and
+// masked to the field width. The window is placed to end inside the
+// header whenever the header has 8 bytes to give, so only a short header
+// at the very tail of a frame takes the staged read in FieldView.extract.
+type slotLoad struct {
+	hdr   int
+	off   int
+	shift uint8 // wideLoad: the field's bits straddle more than 8 bytes
+	mask  uint64
+}
+
+// wideLoad marks a slot whose bits span nine bytes (an unaligned field
+// wider than 57 bits): no single 8-byte window holds it, so it is read
+// through readBits.
+const wideLoad = 0xff
+
 // Decoder is a compiled parse graph: a state table the hot path walks
-// per frame. Decoders are immutable after Compile and safe for concurrent
-// use; each worker pairs one with its own reusable FieldView.
+// per frame, plus one load per slot for the fields somebody then reads.
+// Decoders are immutable after Compile and safe for concurrent use; each
+// worker pairs one with its own reusable FieldView.
 type Decoder struct {
 	schema   *HeaderSchema
 	graph    *ParseGraph
 	states   []decState
 	start    int
 	slotMask []uint64 // per-slot presence-bit mask (1 << header index)
+	loads    []slotLoad
+	// errShort is returned for a frame shorter than the start header.
+	errShort *DecodeError
 	legacy   bool
 }
 
@@ -94,10 +120,14 @@ func (g *ParseGraph) Compile() (*Decoder, error) {
 		states:   make([]decState, len(s.Headers)),
 		start:    startIdx,
 		slotMask: make([]uint64, len(s.slots)),
+		loads:    make([]slotLoad, len(s.slots)),
 		legacy:   s.legacy,
 	}
+	d.errShort = &DecodeError{Reason: ReasonTruncated,
+		Err: fmt.Errorf("%w: %s header needs %d bytes", ErrFrameTooShort, g.Start, s.headerBytes(startIdx))}
 	for i, sl := range s.slots {
 		d.slotMask[i] = 1 << uint(sl.hdr)
+		d.loads[i] = compileLoad(sl, s.headerBytes(sl.hdr))
 	}
 	// One decoder state per header; headers without an entry in States
 	// accept after decoding.
@@ -114,6 +144,10 @@ func (g *ParseGraph) Compile() (*Decoder, error) {
 			hdr: hi, size: s.headerBytes(hi),
 			first: firstSlot[hi], nFields: nFields[hi],
 			selSlot: -1, def: -1, verify: h.Verify,
+		}
+		if h.Verify != nil {
+			st.errVerify = &DecodeError{Reason: ReasonBadHeader,
+				Err: fmt.Errorf("packet: header %s failed verification", h.Name)}
 		}
 		gs, ok := g.States[h.Name]
 		if ok {
@@ -165,10 +199,36 @@ func (d *Decoder) Schema() *HeaderSchema { return d.schema }
 // Graph returns the parse graph the decoder was compiled from.
 func (d *Decoder) Graph() *ParseGraph { return d.graph }
 
+// compileLoad places the 8-byte window of one slot.
+func compileLoad(sl slotInfo, hdrBytes int) slotLoad {
+	first, bit := sl.bitOff>>3, sl.bitOff&7
+	ld := slotLoad{hdr: sl.hdr, off: first, mask: widthMask(sl.width)}
+	if bit+int(sl.width) > 64 {
+		ld.shift = wideLoad
+		return ld
+	}
+	if over := first + 8 - hdrBytes; over > 0 {
+		if over > first {
+			over = first
+		}
+		ld.off -= over
+		bit += 8 * over
+	}
+	ld.shift = uint8(64 - bit - int(sl.width))
+	return ld
+}
+
 // NewView allocates a FieldView sized for the decoder's schema. Views are
-// reused across ParseInto calls; create one per worker.
+// reused across ParseInto calls; create one per worker. A fresh view holds
+// no frame: every slot reads zero once its header is marked present.
 func (d *Decoder) NewView() *FieldView {
-	v := &FieldView{dec: d, slots: make([]uint64, len(d.schema.slots))}
+	n := len(d.schema.slots)
+	v := &FieldView{
+		dec:    d,
+		slots:  make([]uint64, n),
+		ready:  make([]bool, n),
+		hdrOff: make([]int, len(d.schema.Headers)),
+	}
 	if d.legacy {
 		v.lp = &Packet{}
 	}
@@ -178,8 +238,16 @@ func (d *Decoder) NewView() *FieldView {
 // ParseInto decodes a frame into v, reusing its storage. The frame must
 // cover the start header; a frame truncated mid-graph stops cleanly with
 // the remaining bytes as payload (matching the lenient L3/L4 handling of
-// the legacy codec). Slot values and the presence mask are overwritten;
-// the payload aliases the frame.
+// the legacy codec).
+//
+// On a generic schema ParseInto only walks the graph: per header a
+// bounds check, the Verify hook, the header's byte offset and presence
+// bit recorded in the view, and a load of the one field that steers the
+// transition. No other field is extracted; the view keeps the frame and
+// Get runs a slot's load the first time the slot is read. The view and
+// its payload therefore alias the frame, and slot reads are valid only
+// while the frame bytes are unchanged (see FieldView). The default schema
+// fills its slots eagerly from the hand-written codec.
 func (d *Decoder) ParseInto(v *FieldView, frame []byte) error {
 	if v.dec != d {
 		return fmt.Errorf("packet: view belongs to schema %s, decoder is %s", v.dec.schema.Name, d.schema.Name)
@@ -189,33 +257,31 @@ func (d *Decoder) ParseInto(v *FieldView, frame []byte) error {
 	}
 	v.present = 0
 	v.unknownNext = false
-	b := frame
+	v.frame = frame
+	clear(v.ready)
 	cur := d.start
-	if len(b) < d.states[cur].size {
-		return &DecodeError{Reason: ReasonTruncated,
-			Err: fmt.Errorf("%w: %d bytes, %s header needs %d", ErrFrameTooShort, len(b), d.schema.Headers[cur].Name, d.states[cur].size)}
+	if len(frame) < d.states[cur].size {
+		return d.errShort
 	}
+	off := 0
 	for cur >= 0 {
 		st := &d.states[cur]
-		if len(b) < st.size {
+		end := off + st.size
+		if end > len(frame) {
 			break // truncated mid-graph: accept with remainder as payload
 		}
-		hb := b[:st.size]
-		if st.verify != nil && !st.verify(hb) {
-			return &DecodeError{Reason: ReasonBadHeader,
-				Err: fmt.Errorf("packet: header %s failed verification", d.schema.Headers[st.hdr].Name)}
+		if st.verify != nil && !st.verify(frame[off:end]) {
+			return st.errVerify
 		}
-		for i := 0; i < st.nFields; i++ {
-			sl := &d.schema.slots[st.first+i]
-			v.slots[st.first+i] = readBits(hb, sl.bitOff, sl.width)
-		}
+		v.hdrOff[st.hdr] = off
 		v.present |= 1 << uint(st.hdr)
-		b = b[st.size:]
+		off = end
 		if st.selSlot < 0 {
 			cur = st.def
 			continue
 		}
-		sv := v.slots[st.selSlot]
+		// A select field of an earlier header the walk skipped steers as 0.
+		sv, _ := v.Get(st.selSlot)
 		next := st.def
 		matched := false
 		for _, e := range st.trans {
@@ -233,7 +299,7 @@ func (d *Decoder) ParseInto(v *FieldView, frame []byte) error {
 		}
 		cur = next
 	}
-	v.payload = b
+	v.payload = frame[off:]
 	return nil
 }
 
@@ -256,17 +322,27 @@ func (d *Decoder) Marshal(v *FieldView, buf []byte) []byte {
 	if d.legacy {
 		return d.legacyMarshal(v, buf)
 	}
-	for hi := range d.schema.Headers {
+	v.loadAll()
+	n := len(v.payload)
+	for hi := range d.states {
+		if v.present&(1<<uint(hi)) != 0 {
+			n += d.states[hi].size
+		}
+	}
+	buf = slices.Grow(buf, n)
+	for hi := range d.states {
 		if v.present&(1<<uint(hi)) == 0 {
 			continue
 		}
 		st := &d.states[hi]
-		hb := make([]byte, st.size)
-		for i := 0; i < st.nFields; i++ {
-			sl := &d.schema.slots[st.first+i]
-			writeBits(hb, sl.bitOff, sl.width, v.slots[st.first+i])
+		at := len(buf)
+		buf = buf[:at+st.size]
+		hb := buf[at:]
+		clear(hb)
+		for i := st.first; i < st.first+st.nFields; i++ {
+			sl := &d.schema.slots[i]
+			writeBits(hb, sl.bitOff, sl.width, v.slots[i])
 		}
-		buf = append(buf, hb...)
 	}
 	return append(buf, v.payload...)
 }
@@ -274,8 +350,9 @@ func (d *Decoder) Marshal(v *FieldView, buf []byte) []byte {
 // legacyParse is the default schema's decode path: the hand-written
 // Packet codec runs unchanged (VLAN untagging, IHL options, checksum
 // verification, TotalLen payload trim), then the canonical fields are
-// copied into slots. Bit-identical to pre-schema behavior by
-// construction.
+// copied into slots — eagerly, each marked ready or absent, so a
+// default-schema view never retains a frame. Bit-identical to pre-schema
+// behavior by construction.
 func (d *Decoder) legacyParse(v *FieldView, frame []byte) error {
 	if err := v.lp.ParseInto(frame); err != nil {
 		return err
@@ -287,31 +364,25 @@ func (d *Decoder) legacyParse(v *FieldView, frame []byte) error {
 	v.unknownNext = p.EthType != EtherTypeIPv4 ||
 		(p.HasIPv4 && !p.HasL4 && p.Proto != ProtoTCP && p.Proto != ProtoUDP)
 	v.present = 1 << legacyHdrEth
-	v.slots[IDEthDst] = p.EthDst
-	v.slots[IDEthSrc] = p.EthSrc
-	v.slots[IDEthType] = uint64(p.EthType)
+	s, r := v.slots, v.ready
+	s[IDEthDst], s[IDEthSrc], s[IDEthType] = p.EthDst, p.EthSrc, uint64(p.EthType)
+	r[IDEthDst], r[IDEthSrc], r[IDEthType] = true, true, true
+	// An absent layer's Packet fields are zero (ParseInto starts from the
+	// zero Packet), so the copies below zero the slots of absent headers.
 	if p.HasVLAN {
 		v.present |= 1 << legacyHdrVLAN
-		v.slots[IDVLAN] = uint64(p.VLANID)
-	} else {
-		v.slots[IDVLAN] = 0
 	}
+	s[IDVLAN], r[IDVLAN] = uint64(p.VLANID), p.HasVLAN
 	if p.HasIPv4 {
 		v.present |= 1 << legacyHdrIPv4
-		v.slots[IDIPSrc] = uint64(p.IPSrc)
-		v.slots[IDIPDst] = uint64(p.IPDst)
-		v.slots[IDIPProto] = uint64(p.Proto)
-		v.slots[IDTTL] = uint64(p.TTL)
-	} else {
-		v.slots[IDIPSrc], v.slots[IDIPDst], v.slots[IDIPProto], v.slots[IDTTL] = 0, 0, 0, 0
 	}
+	s[IDIPSrc], s[IDIPDst], s[IDIPProto], s[IDTTL] = uint64(p.IPSrc), uint64(p.IPDst), uint64(p.Proto), uint64(p.TTL)
+	r[IDIPSrc], r[IDIPDst], r[IDIPProto], r[IDTTL] = p.HasIPv4, p.HasIPv4, p.HasIPv4, p.HasIPv4
 	if p.HasL4 {
 		v.present |= 1 << legacyHdrL4
-		v.slots[IDTCPSrc] = uint64(p.SrcPort)
-		v.slots[IDTCPDst] = uint64(p.DstPort)
-	} else {
-		v.slots[IDTCPSrc], v.slots[IDTCPDst] = 0, 0
 	}
+	s[IDTCPSrc], s[IDTCPDst] = uint64(p.SrcPort), uint64(p.DstPort)
+	r[IDTCPSrc], r[IDTCPDst] = p.HasL4, p.HasL4
 	v.payload = p.Payload
 	return nil
 }

@@ -7,8 +7,10 @@ import (
 
 // FuzzDecoderParse throws arbitrary bytes at every shipped decoder. The
 // invariants: no panic, presence never claims bytes the frame does not
-// have, and a successfully parsed view re-encodes and re-parses to the
-// same slots (idempotent normalization) for generic schemas.
+// have, every slot read through the lazy view equals readBits on its
+// header's bytes (checkView's eager oracle), and a successfully parsed
+// view re-encodes and re-parses to the same slots (idempotent
+// normalization) for generic schemas.
 func FuzzDecoderParse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 14))
@@ -46,7 +48,8 @@ func FuzzDecoderParse(f *testing.F) {
 				t.Fatalf("%s: claimed %d + payload %d != frame %d",
 					dec.Schema().Name, claimed, len(v.Payload()), len(frame))
 			}
-			wire := v.Marshal(nil)
+			wire := v.Marshal(nil) // before any Get: the bulk load
+			checkView(t, v, frame, nil)
 			v2, err := dec.Parse(wire)
 			if err != nil {
 				t.Fatalf("%s: re-parse of re-encoded frame: %v", dec.Schema().Name, err)
@@ -54,8 +57,10 @@ func FuzzDecoderParse(f *testing.F) {
 			if v2.present != v.present {
 				t.Fatalf("%s: presence changed on round trip: %b -> %b", dec.Schema().Name, v.present, v2.present)
 			}
-			for i := range v.slots {
-				if v.slots[i] != v2.slots[i] {
+			for i := 0; i < dec.Schema().NumSlots(); i++ {
+				a, aok := v.Get(i)
+				b, bok := v2.Get(i)
+				if a != b || aok != bok {
 					t.Fatalf("%s: slot %d changed on round trip", dec.Schema().Name, i)
 				}
 			}

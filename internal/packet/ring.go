@@ -4,8 +4,10 @@ package packet
 // — the per-worker decode arena of the frame-batch ingest path. Slot
 // lifetime is bounded by the ring capacity: the view handed out for
 // frame i is overwritten for frame i+Cap, so a caller may hold at most
-// the last Cap decoded views at once. A ring is not safe for concurrent
-// use; one worker, one ring.
+// the last Cap decoded views at once — and, since a parsed view reads its
+// slots out of the frame it was decoded from (see FieldView), only while
+// those frames' bytes are still what they were. A ring is not safe for
+// concurrent use; one worker, one ring.
 type ViewRing struct {
 	views []*FieldView
 	pos   int

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"manorm/internal/mat"
@@ -190,10 +191,36 @@ func (s *HeaderSchema) headerBytes(hi int) int { return (s.Headers[hi].Bits() + 
 // compiled pipeline code serves any schema.
 //
 // A view is created once per worker (Decoder.NewView) and refilled per
-// frame by Decoder.ParseInto; no method allocates.
+// frame by Decoder.ParseInto; the per-frame methods (ParseInto, Get, Set)
+// do not allocate.
+//
+// Lifetime: a parsed view aliases its frame. ParseInto records where each
+// header starts and keeps the frame; a slot is extracted from those bytes
+// the first time Get reads it and cached until the next parse, and
+// Payload is a sub-slice of the frame. Slot reads and the payload are
+// therefore valid only while the frame bytes are unchanged — a caller
+// that reuses its receive buffer must finish with the view (or Clone it)
+// first. Set stores in the view, never in the frame, and a stored value
+// wins over the frame's. Clone materializes every present slot and
+// copies the payload, so a clone owns everything it reads. A view that
+// holds no parse — fresh from NewView, after Reset, or with headers
+// switched on by MarkPresent — reads zero in every slot nothing was Set
+// in, never bytes of an earlier frame.
+//
+// Because Get fills the cache, a view is single-goroutine state even for
+// reads.
 type FieldView struct {
-	dec     *Decoder
-	slots   []uint64
+	dec   *Decoder
+	slots []uint64
+	// ready[i] means slots[i] is current and its header present — Get's one
+	// test. A slot of a present header that is not ready still sits in
+	// frame at hdrOff[header]: only ParseInto turns a header on without
+	// readying its slots, and it clears ready with one memclr, which is
+	// what makes decoding cost the walk alone.
+	ready []bool
+	// hdrOff is the byte offset of each present, parsed header in frame.
+	hdrOff  []int
+	frame   []byte
 	present uint64
 	payload []byte
 	// lp is the scratch Packet behind the default schema's legacy codec
@@ -212,13 +239,13 @@ func (v *FieldView) Schema() *HeaderSchema { return v.dec.schema }
 // Decoder returns the decoder the view was created from.
 func (v *FieldView) Decoder() *Decoder { return v.dec }
 
-// Reset clears presence, slot values and payload.
+// Reset clears presence, slot values, payload and the retained frame.
 func (v *FieldView) Reset() {
 	v.present = 0
 	v.unknownNext = false
-	for i := range v.slots {
-		v.slots[i] = 0
-	}
+	clear(v.slots)
+	clear(v.ready)
+	v.frame = nil
 	v.payload = nil
 }
 
@@ -229,19 +256,66 @@ func (v *FieldView) Reset() {
 func (v *FieldView) UnknownNext() bool { return v.unknownNext }
 
 // Get reads a slot; the second result is false when the slot is out of
-// range or its header is absent — mirroring Packet.Field's contract.
+// range or its header is absent — mirroring Packet.Field's contract. The
+// first read of a slot after a parse extracts it from the frame.
 func (v *FieldView) Get(slot int) (uint64, bool) {
 	if uint(slot) >= uint(len(v.slots)) {
 		return 0, false
 	}
+	if v.ready[slot] {
+		return v.slots[slot], true
+	}
 	if v.present&v.dec.slotMask[slot] == 0 {
 		return 0, false
 	}
-	return v.slots[slot], true
+	x := v.extract(slot)
+	v.slots[slot], v.ready[slot] = x, true
+	return x, true
+}
+
+// extract runs the compiled load of one slot of a present, parsed header
+// against the retained frame. The 8-byte window may reach past the header
+// into the bytes that follow it, but never past the frame: a window that
+// would is staged through a zero-padded stack array.
+func (v *FieldView) extract(slot int) uint64 {
+	ld := &v.dec.loads[slot]
+	base := v.hdrOff[ld.hdr]
+	if ld.shift == wideLoad {
+		sl := &v.dec.schema.slots[slot]
+		return readBits(v.frame[base:], sl.bitOff, sl.width)
+	}
+	var x uint64
+	if w := v.frame[base+ld.off:]; len(w) >= 8 {
+		x = binary.BigEndian.Uint64(w)
+	} else {
+		var tail [8]byte
+		copy(tail[:], w)
+		x = binary.BigEndian.Uint64(tail[:])
+	}
+	return x >> ld.shift & ld.mask
+}
+
+// loadAll extracts every slot of every present header that is still in
+// the frame — the one bulk loop behind Record, Clone and Marshal, which
+// read all slots and would otherwise pay Get's checks per slot.
+func (v *FieldView) loadAll() {
+	d := v.dec
+	for hi := range d.states {
+		if v.present&(1<<uint(hi)) == 0 {
+			continue
+		}
+		st := &d.states[hi]
+		for i := st.first; i < st.first+st.nFields; i++ {
+			if !v.ready[i] {
+				v.slots[i], v.ready[i] = v.extract(i), true
+			}
+		}
+	}
 }
 
 // Set writes a slot (masked to the field width), reporting whether the
-// slot exists and its header is present — mirroring Packet.SetField.
+// slot exists and its header is present — mirroring Packet.SetField. The
+// value lives in the view; the frame is not written.
 func (v *FieldView) Set(slot int, val uint64) bool {
 	if uint(slot) >= uint(len(v.slots)) {
 		return false
@@ -249,7 +323,7 @@ func (v *FieldView) Set(slot int, val uint64) bool {
 	if v.present&v.dec.slotMask[slot] == 0 {
 		return false
 	}
-	v.slots[slot] = val & widthMask(v.dec.schema.slots[slot].width)
+	v.slots[slot], v.ready[slot] = val&v.dec.loads[slot].mask, true
 	return true
 }
 
@@ -268,8 +342,18 @@ func (v *FieldView) SetName(name string, val uint64) bool {
 func (v *FieldView) HeaderPresent(hi int) bool { return v.present&(1<<uint(hi)) != 0 }
 
 // MarkPresent marks header hi present — used by generators that build
-// views by hand before encoding them.
-func (v *FieldView) MarkPresent(hi int) { v.present |= 1 << uint(hi) }
+// views by hand before encoding them. The fields of a header switched on
+// this way read zero until Set.
+func (v *FieldView) MarkPresent(hi int) {
+	if v.present&(1<<uint(hi)) != 0 {
+		return
+	}
+	v.present |= 1 << uint(hi)
+	st := &v.dec.states[hi]
+	for i := st.first; i < st.first+st.nFields; i++ {
+		v.slots[i], v.ready[i] = 0, true
+	}
+}
 
 // MarkPresentName marks a header present by name, reporting whether the
 // name was known.
@@ -292,6 +376,7 @@ func (v *FieldView) SetPayload(b []byte) { v.payload = b }
 // the relational semantics: every field of every present header, keyed by
 // field name. The schema-generic analogue of Packet.Record.
 func (v *FieldView) Record() mat.Record {
+	v.loadAll()
 	r := make(mat.Record, len(v.slots))
 	for i := range v.slots {
 		if v.present&v.dec.slotMask[i] != 0 {
@@ -301,10 +386,13 @@ func (v *FieldView) Record() mat.Record {
 	return r
 }
 
-// Clone deep-copies the view.
+// Clone deep-copies the view: every present slot is materialized and the
+// payload copied, so the clone reads nothing of v's frame.
 func (v *FieldView) Clone() *FieldView {
+	v.loadAll()
 	c := v.dec.NewView()
 	copy(c.slots, v.slots)
+	copy(c.ready, v.ready)
 	c.present = v.present
 	c.payload = append([]byte(nil), v.payload...)
 	return c
@@ -325,7 +413,9 @@ func widthMask(width uint8) uint64 {
 }
 
 // readBits extracts width bits starting at bit offset off (big-endian bit
-// order) from b.
+// order) from b, a byte at a time. It defines what a slot's value is: the
+// compiled loads are tested against it, and it is the load itself for the
+// rare field whose bits straddle nine bytes.
 func readBits(b []byte, off int, width uint8) uint64 {
 	var out uint64
 	n := int(width)

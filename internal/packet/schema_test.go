@@ -69,7 +69,7 @@ func FieldIDName(id int) string { return DefaultDecoder().Schema().SlotName(id) 
 // fillChain builds a view with the full header chain present and random
 // field values, then forces the select fields so the graph re-parses the
 // same chain. Used by the round-trip property tests.
-func fillChain(t *testing.T, dec *Decoder, rng *rand.Rand, selects map[string]uint64, headers []string) *FieldView {
+func fillChain(t testing.TB, dec *Decoder, rng *rand.Rand, selects map[string]uint64, headers []string) *FieldView {
 	t.Helper()
 	v := dec.NewView()
 	s := dec.Schema()
@@ -94,34 +94,52 @@ func fillChain(t *testing.T, dec *Decoder, rng *rand.Rand, selects map[string]ui
 	return v
 }
 
+// shippedChains lists, per shipped generic schema, the header chains its
+// parse graph accepts whole and the select values that steer a frame down
+// them; a schema's first entry is its canonical full-chain frame
+// (shippedWire).
+var shippedChains = []struct {
+	schema  string
+	headers []string
+	selects map[string]uint64
+}{
+	{SchemaVXLAN,
+		[]string{"eth", "ipv4", "udp", "vxlan", "inner_eth"},
+		map[string]uint64{"eth_type": EtherTypeIPv4, "ip_proto": ProtoUDP, "udp_dst": UDPPortVXLAN}},
+	{SchemaMPLS,
+		[]string{"eth", "mpls", "ipv4"},
+		map[string]uint64{"eth_type": EtherTypeMPLS, FieldMPLSBoS: 1}},
+	{SchemaMPLS,
+		[]string{"eth", "mpls", "mpls2", "ipv4"},
+		map[string]uint64{"eth_type": EtherTypeMPLS, FieldMPLSBoS: 0, "mpls2_s": 1}},
+	{SchemaGTPU,
+		[]string{"eth", "ipv4", "udp", "gtpu", "inner_ipv4"},
+		map[string]uint64{"eth_type": EtherTypeIPv4, "ip_proto": ProtoUDP, "udp_dst": UDPPortGTPU, "gtpu_type": GTPMsgGPDU}},
+}
+
+// shippedWire returns one well-formed full-chain frame of a shipped
+// schema.
+func shippedWire(t testing.TB, name string) []byte {
+	t.Helper()
+	if name == SchemaDefault {
+		return TCP4(1, 2, 3, 4, 5, 6).Marshal(nil)
+	}
+	for _, c := range shippedChains {
+		if c.schema == name {
+			return fillChain(t, mustDecoder(t, name), rand.New(rand.NewSource(1)), c.selects, c.headers).Marshal(nil)
+		}
+	}
+	t.Fatalf("no full-chain frame for schema %q", name)
+	return nil
+}
+
 // TestShippedSchemaRoundTrip is the Parse→Marshal→Parse property for
 // every shipped generic schema: re-parsing an encoded view yields the
 // same slots, presence and payload, and re-encoding yields the same
 // bytes.
 func TestShippedSchemaRoundTrip(t *testing.T) {
-	cases := []struct {
-		schema  string
-		headers []string
-		selects map[string]uint64
-	}{
-		{SchemaVXLAN,
-			[]string{"eth", "ipv4", "udp", "vxlan", "inner_eth"},
-			map[string]uint64{"eth_type": EtherTypeIPv4, "ip_proto": ProtoUDP, "udp_dst": UDPPortVXLAN}},
-		{SchemaMPLS,
-			[]string{"eth", "mpls", "ipv4"},
-			map[string]uint64{"eth_type": EtherTypeMPLS, FieldMPLSBoS: 1}},
-		{SchemaMPLS,
-			[]string{"eth", "mpls", "mpls2", "ipv4"},
-			map[string]uint64{"eth_type": EtherTypeMPLS, FieldMPLSBoS: 0, "mpls2_s": 1}},
-		{SchemaGTPU,
-			[]string{"eth", "ipv4", "udp", "gtpu", "inner_ipv4"},
-			map[string]uint64{"eth_type": EtherTypeIPv4, "ip_proto": ProtoUDP, "udp_dst": UDPPortGTPU, "gtpu_type": GTPMsgGPDU}},
-	}
-	for _, tc := range cases {
-		dec, err := BuiltinDecoder(tc.schema)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range shippedChains {
+		dec := mustDecoder(t, tc.schema)
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 50; trial++ {
 			v := fillChain(t, dec, rng, tc.selects, tc.headers)
@@ -133,10 +151,12 @@ func TestShippedSchemaRoundTrip(t *testing.T) {
 			if got.present != v.present {
 				t.Fatalf("%s trial %d: presence %b != %b", tc.schema, trial, got.present, v.present)
 			}
-			for i := range v.slots {
-				if v.slots[i] != got.slots[i] {
-					t.Errorf("%s trial %d: slot %d (%s): %#x != %#x",
-						tc.schema, trial, i, dec.Schema().SlotName(i), got.slots[i], v.slots[i])
+			for i := 0; i < dec.Schema().NumSlots(); i++ {
+				want, wok := v.Get(i)
+				have, hok := got.Get(i)
+				if want != have || wok != hok {
+					t.Errorf("%s trial %d: slot %d (%s): (%#x,%v) != (%#x,%v)",
+						tc.schema, trial, i, dec.Schema().SlotName(i), have, hok, want, wok)
 				}
 			}
 			if string(got.Payload()) != string(v.Payload()) {
@@ -236,42 +256,32 @@ func TestParseGraphValidation(t *testing.T) {
 
 // TestFieldViewAllocs is the zero-alloc guard for the schema hot path:
 // ParseInto into a reused view, slot reads and slot writes must not
-// allocate, for the generic and the legacy (default) decoder alike.
+// allocate, for the generic and the legacy (default) decoder alike — and
+// neither must a damaged frame: one cut below the first header (a typed
+// truncation, classified through DecodeReasonOf as the ingest counters
+// do) and one cut mid-graph (an accept with fewer headers).
 func TestFieldViewAllocs(t *testing.T) {
 	for _, name := range BuiltinSchemaNames() {
-		dec, err := BuiltinDecoder(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wire []byte
-		switch name {
-		case SchemaDefault:
-			wire = TCP4(1, 2, 3, 4, 5, 6).Marshal(nil)
-		case SchemaVXLAN:
-			wire = fillChain(t, dec, rand.New(rand.NewSource(1)),
-				map[string]uint64{"eth_type": EtherTypeIPv4, "ip_proto": ProtoUDP, "udp_dst": UDPPortVXLAN},
-				[]string{"eth", "ipv4", "udp", "vxlan", "inner_eth"}).Marshal(nil)
-		case SchemaMPLS:
-			wire = fillChain(t, dec, rand.New(rand.NewSource(1)),
-				map[string]uint64{"eth_type": EtherTypeMPLS, FieldMPLSBoS: 1},
-				[]string{"eth", "mpls", "ipv4"}).Marshal(nil)
-		case SchemaGTPU:
-			wire = fillChain(t, dec, rand.New(rand.NewSource(1)),
-				map[string]uint64{"eth_type": EtherTypeIPv4, "ip_proto": ProtoUDP, "udp_dst": UDPPortGTPU, "gtpu_type": GTPMsgGPDU},
-				[]string{"eth", "ipv4", "udp", "gtpu", "inner_ipv4"}).Marshal(nil)
-		}
+		dec := mustDecoder(t, name)
+		wire := shippedWire(t, name)
+		below, mid := wire[:EthHeaderLen-1], wire[:EthHeaderLen+9]
 		v := dec.NewView()
 		var sink uint64
 		allocs := testing.AllocsPerRun(200, func() {
-			if err := dec.ParseInto(v, wire); err != nil {
-				t.Fatal(err)
+			if DecodeReasonOf(dec.ParseInto(v, below)) != ReasonTruncated {
+				t.Fatal("frame cut below the first header not rejected as truncated")
 			}
-			for i := 0; i < v.Schema().NumSlots(); i++ {
-				if x, ok := v.Get(i); ok {
-					sink += x
+			for _, f := range [][]byte{mid, wire} {
+				if err := dec.ParseInto(v, f); err != nil {
+					t.Fatal(err)
 				}
+				for i := 0; i < v.Schema().NumSlots(); i++ {
+					if x, ok := v.Get(i); ok {
+						sink += x
+					}
+				}
+				v.Set(0, sink)
 			}
-			v.Set(0, sink)
 		})
 		if allocs != 0 {
 			t.Errorf("schema %s: %v allocs/op on ParseInto+Get+Set, want 0", name, allocs)
@@ -315,7 +325,7 @@ func TestBinder(t *testing.T) {
 	}
 }
 
-func mustDecoder(t *testing.T, name string) *Decoder {
+func mustDecoder(t testing.TB, name string) *Decoder {
 	t.Helper()
 	d, err := BuiltinDecoder(name)
 	if err != nil {

@@ -175,10 +175,11 @@ func TestSchemaInstallRejectsForeignProvenance(t *testing.T) {
 }
 
 // TestSchemaWorkerZeroAlloc pins the schema hot path: a warmed dedicated
-// worker forwards schema frames without allocating. Lagopus is excluded:
-// its per-packet generic record lift (view.Record, a map build) is the
-// model's deliberate interpretive overhead, not an accident of the
-// schema path.
+// worker forwards schema frames without allocating, whether the frame is
+// whole, cut below the first header (a drop) or cut mid-graph (forwarded
+// on the headers it has). Lagopus is excluded: its per-packet generic
+// record lift (view.Record, a map build) is the model's deliberate
+// interpretive overhead, not an accident of the schema path.
 func TestSchemaWorkerZeroAlloc(t *testing.T) {
 	dec, err := packet.BuiltinDecoder(packet.SchemaVXLAN)
 	if err != nil {
@@ -197,9 +198,12 @@ func TestSchemaWorkerZeroAlloc(t *testing.T) {
 		if _, err := w.ProcessFrame(f); err != nil { // warm: refresh + ctx alloc
 			t.Fatalf("%s: %v", sw.Name(), err)
 		}
+		below, mid := f[:packet.EthHeaderLen-1], f[:packet.EthHeaderLen+9]
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := w.ProcessFrame(f); err != nil {
-				t.Fatalf("%s: %v", sw.Name(), err)
+			for _, frame := range [][]byte{f, below, mid} {
+				if _, err := w.ProcessFrame(frame); err != nil {
+					t.Fatalf("%s: %v", sw.Name(), err)
+				}
 			}
 		})
 		if allocs != 0 {
