@@ -37,14 +37,19 @@ race:
 # reproducer (schema-mode ones carry their parse graph in the JSON);
 # each must still diverge with its recorded kind, so known caveats —
 # including the fused-path rematch hazard and its schema-mode twin —
-# stay detected. The last line fuzzes the indexed evaluator
-# (mat.Evaluator) against the definition of the semantics
+# stay detected, and a reproducer of a fixed bug (kind "fixed") must
+# replay with no divergence at all. The third line fuzzes the indexed
+# evaluator (mat.Evaluator) against the definition of the semantics
 # (mat.Pipeline.Eval) on coverage-guided random pipelines: same output
-# record, same error, on every probe.
+# record, same error, on every probe. The last fuzzes the default
+# schema's decoder — the one every default-schema frame is forwarded
+# through — against the hand-written Packet codec: same accept/reject
+# reason, presence, fields, payload and unknown-next verdict.
 fuzz-smoke:
 	$(GO) run ./cmd/mafuzz -seed 1 -duration 30s
 	$(GO) run ./cmd/mafuzz -seed 1 -duration 30s -schema-fuzz
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzEvaluatorMatchesEval -fuzztime 15s
+	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzDefaultDecoderMatchesCodec -fuzztime 15s
 
 fuzz-replay:
 	$(GO) run ./cmd/mafuzz -replay -corpus internal/difftest/testdata/corpus

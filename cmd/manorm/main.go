@@ -173,70 +173,53 @@ func run(analyze, normalize bool, decompose string, denorm, fingerprint, confl b
 }
 
 // emitWitnesses probes the original table and the produced pipeline with
-// packets synthesized from every trace-sample'th table entry and prints
-// the paired per-stage witnesses to stderr — the runtime Theorem 1 check
-// alongside the symbolic -verify. With schema empty the probes are
-// canonical packets (entries using non-canonical fields are skipped);
-// with -schema they are FieldViews over the named shipped schema, so
-// tables matching arbitrary schema fields (vxlan_vni, mpls_label, ...)
-// can be witnessed too.
+// FieldViews synthesized from every trace-sample'th table entry and
+// prints the paired per-stage witnesses to stderr — the runtime Theorem 1
+// check alongside the symbolic -verify. The views are of the default
+// schema, or of the named shipped schema with -schema, so tables matching
+// arbitrary schema fields (vxlan_vni, mpls_label, ...) can be witnessed
+// too; a table matching a field outside the schema cannot be.
 func emitWitnesses(tab *mat.Table, p *mat.Pipeline, every int, schema string) error {
 	if every <= 0 {
 		return nil
 	}
-	var opts []dataplane.Option
-	var dec *packet.Decoder
-	if schema != "" && schema != packet.SchemaDefault {
+	dec := packet.DefaultDecoder()
+	if schema != "" {
 		var err error
 		if dec, err = packet.BuiltinDecoder(schema); err != nil {
 			return err
 		}
-		opts = append(opts, dataplane.WithSchema(dec.Schema()))
 	}
-	udp, err := dataplane.Compile(mat.SingleTable(tab), dataplane.AutoTemplates, opts...)
+	for _, fi := range tab.Schema.Fields() {
+		if dec.Schema().Slot(tab.Schema[fi].Name) < 0 {
+			fmt.Fprintf(os.Stderr, "manorm: no witnesses emitted (%s is not a field of schema %s)\n", tab.Schema[fi].Name, dec.Schema().Name)
+			return nil
+		}
+	}
+	opt := dataplane.WithSchema(dec.Schema())
+	udp, err := dataplane.Compile(mat.SingleTable(tab), dataplane.AutoTemplates, opt)
 	if err != nil {
 		return fmt.Errorf("witness compile (universal): %w", err)
 	}
-	pdp, err := dataplane.Compile(p, dataplane.AutoTemplates, opts...)
+	pdp, err := dataplane.Compile(p, dataplane.AutoTemplates, opt)
 	if err != nil {
 		return fmt.Errorf("witness compile (pipeline): %w", err)
 	}
 	uctx, pctx := udp.NewCtx(), pdp.NewCtx()
-	probed := 0
 	for ei, entry := range tab.Entries {
 		if (ei+1)%every != 0 {
 			continue
 		}
-		var uv, pv dataplane.Verdict
-		var utr, ptr *telemetry.Trace
-		if dec != nil {
-			// Each side explains its own freshly synthesized view: the
-			// universal pass may rewrite fields the pipeline pass matches.
-			uview, ok := viewProbeFor(dec, tab, entry)
-			if !ok {
-				continue
-			}
-			pview, _ := viewProbeFor(dec, tab, entry)
-			if uv, utr, err = udp.ProcessExplainView(uview, uctx); err != nil {
-				return err
-			}
-			if pv, ptr, err = pdp.ProcessExplainView(pview, pctx); err != nil {
-				return err
-			}
-		} else {
-			pkt, ok := probeFor(tab, entry)
-			if !ok {
-				continue
-			}
-			cp := *pkt
-			if uv, utr, err = udp.ProcessExplain(pkt, uctx); err != nil {
-				return err
-			}
-			if pv, ptr, err = pdp.ProcessExplain(&cp, pctx); err != nil {
-				return err
-			}
+		// Each side explains its own freshly synthesized view: the
+		// universal pass may rewrite fields the pipeline pass matches.
+		uv, utr, err := udp.ProcessExplainView(probeFor(dec, tab, entry), uctx)
+		if err != nil {
+			return err
 		}
-		probed++
+		pv, ptr, err := pdp.ProcessExplainView(probeFor(dec, tab, entry), pctx)
+		if err != nil {
+			return err
+		}
 		fmt.Fprint(os.Stderr, utr.String())
 		fmt.Fprint(os.Stderr, ptr.String())
 		if uv.Drop != pv.Drop || (!uv.Drop && uv.Port != pv.Port) {
@@ -244,51 +227,21 @@ func emitWitnesses(tab *mat.Table, p *mat.Pipeline, every int, schema string) er
 		}
 		fmt.Fprintf(os.Stderr, "manorm: entry %d verdicts agree: %s\n", ei, utr.Verdict())
 	}
-	if probed == 0 {
-		fmt.Fprintln(os.Stderr, "manorm: no witnesses emitted (no sampled entry's fields fit the probe schema)")
-	}
 	return nil
 }
 
-// probeFor synthesizes a packet matching one table entry. Only canonical
-// packet fields can be probed; ok is false otherwise.
-func probeFor(tab *mat.Table, entry mat.Entry) (*packet.Packet, bool) {
-	pkt := packet.TCP4(0xA, 0xB, 0, 0, 33333, 0)
-	for i, a := range tab.Schema {
-		if a.Kind != mat.Field {
-			continue
-		}
-		if packet.FieldWidth(a.Name) == 0 {
-			return nil, false
-		}
-		if !pkt.SetField(a.Name, entry[i].Bits) {
-			return nil, false
-		}
-	}
-	return pkt, true
-}
-
-// viewProbeFor synthesizes a FieldView matching one table entry under the
-// probe schema: every header is marked present and each match field is
-// written through its schema slot. Entries matching fields the schema
-// does not define cannot be probed; ok is false.
-func viewProbeFor(dec *packet.Decoder, tab *mat.Table, entry mat.Entry) (*packet.FieldView, bool) {
+// probeFor synthesizes a FieldView matching one table entry: every header
+// of the schema is marked present and each match field is written through
+// its slot (emitWitnesses checked that every one has a slot).
+func probeFor(dec *packet.Decoder, tab *mat.Table, entry mat.Entry) *packet.FieldView {
 	view := dec.NewView()
-	sch := dec.Schema()
-	for hi := range sch.Headers {
+	for hi := range dec.Schema().Headers {
 		view.MarkPresent(hi)
 	}
-	for i, a := range tab.Schema {
-		if a.Kind != mat.Field {
-			continue
-		}
-		slot := sch.Slot(a.Name)
-		if slot < 0 {
-			return nil, false
-		}
-		view.Set(slot, entry[i].Bits)
+	for _, fi := range tab.Schema.Fields() {
+		view.SetName(tab.Schema[fi].Name, entry[fi].Bits)
 	}
-	return view, true
+	return view
 }
 
 func readInput(in string) ([]byte, error) {

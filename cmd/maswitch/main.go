@@ -20,9 +20,9 @@
 //	          # holding its placement shard — drive them as one logical
 //	          # switch with a fabric controller (internal/fabric)
 //
-// With -schema the switch runs in protocol-independent mode: frames are
+// With -schema the switch forwards another header schema: frames are
 // decoded by the named shipped schema's programmable parse graph instead
-// of the canonical fixed parser, and the workload is that schema's use
+// of the default schema's decoder, and the workload is that schema's use
 // case (VXLAN tenant gateway, MPLS label-switching router, GTP-U mobile
 // gateway):
 //
@@ -31,9 +31,8 @@
 // The shared observability flags (internal/cliflags) apply:
 // -metrics-addr serves the switch's telemetry registry as JSON plus
 // net/http/pprof; -trace-sample N records a pipeline witness for every
-// Nth packet and cross-checks its verdict against the switch's (in both
-// the canonical and -schema paths); -json emits the run summary (with
-// the full telemetry snapshot) as JSON.
+// Nth packet and cross-checks its verdict against the switch's; -json
+// emits the run summary (with the full telemetry snapshot) as JSON.
 package main
 
 import (
@@ -49,6 +48,7 @@ import (
 	"manorm/internal/cliflags"
 	"manorm/internal/dataplane"
 	"manorm/internal/fabric"
+	"manorm/internal/mat"
 	"manorm/internal/openflow"
 	"manorm/internal/packet"
 	"manorm/internal/stats"
@@ -146,31 +146,48 @@ func run(o options) error {
 		}
 		return runFabric(o)
 	}
-	if o.schema != "" && o.schema != packet.SchemaDefault {
+	if o.schema == packet.SchemaDefault {
+		o.schema = ""
+	}
+	dec := packet.DefaultDecoder()
+	if o.schema != "" {
 		if o.listen != "" {
 			return fmt.Errorf("-schema does not combine with -listen")
 		}
-		return runSchema(o)
+		var err error
+		if dec, err = packet.BuiltinDecoder(o.schema); err != nil {
+			return err
+		}
 	}
-	o.schema = ""
 	reg := telemetry.NewRegistry()
-	sw, err := switches.New(o.swName, switches.WithTelemetry(reg))
+	sw, err := switches.New(o.swName, switches.WithTelemetry(reg), switches.WithSchema(dec))
 	if err != nil {
 		return err
 	}
 	reg.Register("switch", sw)
-	g := usecases.Generate(o.services, o.backends, o.seed)
-	p, err := g.Build(o.rep)
-	if err != nil {
-		return err
+	// The workload: the gateway & load balancer over canonical frames, or
+	// the -schema use case over its own frames.
+	var p *mat.Pipeline
+	var frames [][]byte
+	if o.schema == "" {
+		g := usecases.Generate(o.services, o.backends, o.seed)
+		if p, err = g.Build(o.rep); err != nil {
+			return err
+		}
+		frames, _ = trafficgen.Wire(trafficgen.GwLB(g, 4096, 1.0, o.seed+1))
+	} else {
+		cfg := bench.Config{Services: o.services, Backends: o.backends, Seed: o.seed}
+		if p, frames, err = bench.SchemaWorkload(o.schema, o.rep, cfg); err != nil {
+			return err
+		}
 	}
 	agent, err := openflow.NewAgent(sw, p)
 	if err != nil {
 		return err
 	}
 	reg.Register("agent", agent)
-	fmt.Printf("maswitch: %s loaded with %s (%d stages, %d entries, %d fields)\n",
-		o.swName, o.rep, p.Depth(), p.EntryCount(), p.FieldCount())
+	fmt.Printf("maswitch: %s loaded with %s under schema %s (%d stages, %d entries, %d fields)\n",
+		o.swName, o.rep, dec.Schema().Name, p.Depth(), p.EntryCount(), p.FieldCount())
 
 	if o.metricsAddr != "" {
 		srv, err := telemetry.Serve(o.metricsAddr, reg)
@@ -182,17 +199,20 @@ func run(o options) error {
 	}
 
 	// The witness datapath is a parallel compilation of the same pipeline
-	// used only for sampled packets — the forwarding hot path never pays
-	// for explanation.
+	// used only for sampled frames — the forwarding hot path never pays
+	// for explanation. It replays them through ProcessExplainView, so the
+	// cross-check covers the decoder as well as the match logic.
 	sink := telemetry.NewTraceSink(o.traceSample, 32)
 	var wdp *dataplane.Pipeline
 	var wctx *dataplane.Ctx
+	var wview *packet.FieldView
 	if o.traceSample > 0 {
 		reg.SetTraceSink(sink)
-		if wdp, err = dataplane.Compile(p, dataplane.AutoTemplates); err != nil {
+		if wdp, err = dataplane.Compile(p, dataplane.AutoTemplates, dataplane.WithSchema(dec.Schema())); err != nil {
 			return err
 		}
 		wctx = wdp.NewCtx()
+		wview = dec.NewView()
 	}
 
 	if o.listen != "" {
@@ -214,96 +234,7 @@ func run(o options) error {
 		}
 	}
 
-	stream := trafficgen.GwLB(g, 4096, 1.0, o.seed+1)
-	// Warm-up.
-	for i := 0; i < stream.Len(); i++ {
-		if _, err := sw.Process(stream.Next()); err != nil {
-			return err
-		}
-	}
-	lat := stats.NewReservoir(8192, o.seed)
-	mismatches := 0
-	start := time.Now()
-	for i := 0; i < o.packets; i++ {
-		pkt := stream.Next()
-		var wit *telemetry.Trace
-		if sink.Tick() {
-			// Explain a copy first: the switch's Process may rewrite the
-			// packet's headers.
-			cp := *pkt
-			if _, tr, werr := wdp.ProcessExplain(&cp, wctx); werr == nil {
-				sink.Add(*tr)
-				wit = tr
-			}
-		}
-		t0 := time.Now()
-		v, err := sw.Process(pkt)
-		if err != nil {
-			return err
-		}
-		if i%16 == 0 {
-			lat.Add(float64(time.Since(t0).Nanoseconds()))
-		}
-		if wit != nil && (wit.Drop != v.Drop || (!v.Drop && wit.Port != v.Port)) {
-			mismatches++
-		}
-	}
-	return report(o, sw, time.Since(start), lat, mismatches, sink, reg)
-}
-
-// runSchema is the protocol-independent forwarding run (-schema): the
-// switch parses frames through the named shipped schema's compiled parse
-// graph and the workload is that schema's use case. The witness path
-// (-trace-sample) compiles the same pipeline against the schema and
-// replays sampled frames through ProcessExplainView, so the cross-check
-// covers the programmable decoder as well as the match logic.
-func runSchema(o options) error {
-	dec, err := packet.BuiltinDecoder(o.schema)
-	if err != nil {
-		return err
-	}
-	reg := telemetry.NewRegistry()
-	sw, err := switches.New(o.swName, switches.WithTelemetry(reg), switches.WithSchema(dec))
-	if err != nil {
-		return err
-	}
-	reg.Register("switch", sw)
-	cfg := bench.Config{Services: o.services, Backends: o.backends, Seed: o.seed}
-	p, frames, err := bench.SchemaWorkload(o.schema, o.rep, cfg)
-	if err != nil {
-		return err
-	}
-	agent, err := openflow.NewAgent(sw, p)
-	if err != nil {
-		return err
-	}
-	reg.Register("agent", agent)
-	fmt.Printf("maswitch: %s loaded with %s under schema %s (%d stages, %d entries, %d fields)\n",
-		o.swName, o.rep, o.schema, p.Depth(), p.EntryCount(), p.FieldCount())
-
-	if o.metricsAddr != "" {
-		srv, err := telemetry.Serve(o.metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("maswitch: metrics and pprof on http://%s/metrics\n", srv.Addr)
-	}
-
-	sink := telemetry.NewTraceSink(o.traceSample, 32)
-	var wdp *dataplane.Pipeline
-	var wctx *dataplane.Ctx
-	var wview *packet.FieldView
-	if o.traceSample > 0 {
-		reg.SetTraceSink(sink)
-		if wdp, err = dataplane.Compile(p, dataplane.AutoTemplates, dataplane.WithSchema(dec.Schema())); err != nil {
-			return err
-		}
-		wctx = wdp.NewCtx()
-		wview = dec.NewView()
-	}
-
-	// Warm-up over one pass of the batch.
+	// Warm-up over one pass of the trace.
 	for _, f := range frames {
 		if _, err := sw.ProcessFrame(f); err != nil {
 			return err
@@ -341,9 +272,9 @@ func runSchema(o options) error {
 	return report(o, sw, time.Since(start), lat, mismatches, sink, reg)
 }
 
-// report prints (or JSON-encodes, -json) the forwarding-run summary
-// shared by the canonical and -schema paths. elapsed is the timed loop's
-// wall time over o.packets; a hardware model reports its line rate.
+// report prints (or JSON-encodes, -json) the forwarding-run summary.
+// elapsed is the timed loop's wall time over o.packets; a hardware model
+// reports its line rate.
 func report(o options, sw switches.Switch, elapsed time.Duration, lat *stats.Reservoir, mismatches int, sink *telemetry.TraceSink, reg *telemetry.Registry) error {
 	loopMpps := float64(o.packets) / elapsed.Seconds() / 1e6
 	rate := loopMpps

@@ -5,7 +5,7 @@
 // off as a Cartesian-product stage, the next-hop dependency produces the
 // OpenFlow-style group table, and the port dependency produces the
 // source-MAC table — the T0 × T1 ≫ T2 ≫ T3 pipeline of Fig. 2c. The
-// example then runs packets through both representations on the ESwitch
+// example then forwards frames through both representations on the ESwitch
 // model and compares classifier templates and service times.
 //
 //	go run ./examples/l3router
@@ -60,7 +60,7 @@ func main() {
 	}
 
 	// Run both representations on the template-specializing switch.
-	stream := trafficgen.L3(prefixes, 4096, 11)
+	frames, _ := trafficgen.Wire(trafficgen.L3(prefixes, 4096, 11))
 	for name, p := range map[string]*mat.Pipeline{
 		"universal ": mat.SingleTable(l3.Table),
 		"normalized": res.Pipeline,
@@ -69,16 +69,17 @@ func main() {
 		if err := sw.Install(p); err != nil {
 			log.Fatal(err)
 		}
+		w := sw.NewWorker()
 		// Warm-up, then measure.
-		for i := 0; i < stream.Len(); i++ {
-			if _, err := sw.Process(stream.Next()); err != nil {
+		for _, f := range frames {
+			if _, err := w.ProcessFrame(f); err != nil {
 				log.Fatal(err)
 			}
 		}
 		const n = 200000
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			if _, err := sw.Process(stream.Next()); err != nil {
+			if _, err := w.ProcessFrame(frames[i%len(frames)]); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -237,9 +237,8 @@ func ParallelTable(cfg Config) ([]*ParallelResult, error) {
 // to see both the programmable parser's base cost relative to the
 // hand-written default path and whether it scales.
 //
-// OVS is the interesting column — in schema mode its EMC and megaflow
-// layers are bypassed (they key on canonical fields), so every frame pays
-// the slow-path traversal and OVS degrades toward the interpreted models.
+// OVS keys its EMC and megaflow layers on the program's match slots, so
+// its cache hierarchy works here as on the default schema.
 func SchemaTable(cfg Config) ([]*ParallelResult, error) {
 	counts := []int{1}
 	if cfg.Workers > 1 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"manorm/internal/dataplane"
+	"manorm/internal/packet"
 	"manorm/internal/telemetry"
 	"manorm/internal/trafficgen"
 	"manorm/internal/usecases"
@@ -53,19 +54,21 @@ func TraceWitnesses(cfg Config, every, keep int) ([]WitnessPair, error) {
 	stream := trafficgen.GwLB(g, 4096, 1.0, cfg.Seed+1)
 
 	var out []WitnessPair
+	view := packet.DefaultDecoder().NewView()
 	for i := 0; i < stream.Len() && len(out) < keep; i++ {
 		pkt := stream.Next()
 		if (i+1)%every != 0 {
 			continue
 		}
-		// Explain mutates the packet (TTL, rewrites), so each run gets its
-		// own copy.
-		cu, cg := *pkt, *pkt
-		uv, utr, err := udp.ProcessExplain(&cu, uctx)
+		// Explain mutates the view (TTL, rewrites), so each run loads the
+		// packet afresh.
+		view.LoadPacket(pkt)
+		uv, utr, err := udp.ProcessExplainView(view, uctx)
 		if err != nil {
 			return nil, err
 		}
-		gv, gtr, err := gdp.ProcessExplain(&cg, gctx)
+		view.LoadPacket(pkt)
+		gv, gtr, err := gdp.ProcessExplainView(view, gctx)
 		if err != nil {
 			return nil, err
 		}

@@ -45,16 +45,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Decoder resolves -schema into its compiled decoder. With the flag unset
-// (or naming the default schema) it returns (nil, nil): commands treat a
-// nil decoder as "run the canonical fixed-struct path".
-func (f *Flags) Decoder() (*packet.Decoder, error) {
-	if f.Schema == "" || f.Schema == packet.SchemaDefault {
-		return nil, nil
-	}
-	return packet.BuiltinDecoder(f.Schema)
-}
-
 // Serve starts the metrics endpoint when -metrics-addr is set. With the
 // flag unset it returns (nil, nil), and the nil *telemetry.Server is safe
 // to ignore.

@@ -43,18 +43,15 @@ const (
 // Action is one compiled action.
 type Action struct {
 	Kind  ActionKind
-	Field string // for ActSetField
-	Meta  int    // register index for ActSetMeta
-	Slot  int    // target field slot under WithSchema (set-field / dec-ttl)
+	Meta  int // register index for ActSetMeta
+	Slot  int // target field slot (set-field / dec-ttl)
 	Value uint64
 }
 
 // matchCol describes where one match column's key word comes from.
 type matchCol struct {
-	field string // packet field name ("" when meta >= 0)
-	fid   int    // dense packet field id (packet.FieldID), -1 for unknown
-	slot  int    // schema slot index under WithSchema, -1 otherwise
-	meta  int    // metadata register index, -1 for packet fields
+	slot  int // schema slot index, -1 for metadata
+	meta  int // metadata register index, -1 for packet fields
 	width uint8
 }
 
@@ -100,30 +97,53 @@ type Pipeline struct {
 	// pipeline is uninstrumented (the allocation-free fast path checks a
 	// single pointer).
 	tel *pipelineTel
-	// fusedT/fusedFDD, set by CompileFused, route Process/ProcessBatch
-	// through the straight-line fused hot path (one table, no metadata
-	// registers, no goto dispatch, drop on miss) with the classifier call
-	// devirtualized. Traced processing still takes the general loop.
+	// fusedT/fusedFDD, set by CompileFused, route ProcessView and
+	// ProcessFrames through the straight-line fused hot path (one table, no
+	// metadata registers, no goto dispatch, drop on miss) with the
+	// classifier call devirtualized. Traced processing still takes the
+	// general loop.
 	fusedT   *Table
 	fusedFDD *classifier.FDD
-	// schema, set by WithSchema, enables the FieldView entry points
-	// (ProcessView and friends): match columns and rewriting actions were
-	// resolved to the schema's slot indices at compile time.
+	// schema is the header schema the pipeline was compiled against (the
+	// default one unless WithSchema named another): match columns and
+	// rewriting actions were resolved to its slot indices at compile time.
 	schema *packet.HeaderSchema
+	// matchSlots lists, ascending, every slot some table matches.
+	matchSlots []int
 	// What Recompile needs to lower a stage the way Compile lowered the
 	// others: the template selector, the options as given, the schema's
-	// binder (nil without one) and the metadata register of every link
-	// attribute met so far, numbered in first-encounter order (a Ctx holds
-	// one register per name; a fused pipeline has none).
+	// binder and the metadata register of every link attribute met so
+	// far, numbered in first-encounter order (a Ctx holds one register per
+	// name; a fused pipeline has none).
 	sel     TemplateSelector
 	opts    []Option
 	binder  *packet.Binder
 	metaIdx map[string]int
 }
 
-// Schema returns the header schema the pipeline was compiled against, or
-// nil when compiled for the fixed default Packet path.
+// Schema returns the header schema the pipeline was compiled against.
 func (p *Pipeline) Schema() *packet.HeaderSchema { return p.schema }
+
+// MatchSlots lists, in ascending order, every slot of the schema that
+// some table of the pipeline matches: the fields a verdict can depend on.
+// Together with their headers' presence they determine the verdict, which
+// is what lets a flow cache key on them. The slice is shared; callers
+// must not modify it.
+func (p *Pipeline) MatchSlots() []int { return p.matchSlots }
+
+// collectMatchSlots recomputes matchSlots from the compiled tables.
+func (p *Pipeline) collectMatchSlots() {
+	var slots []int
+	for _, t := range p.tables {
+		for _, c := range t.cols {
+			if c.meta < 0 && !slices.Contains(slots, c.slot) {
+				slots = append(slots, c.slot)
+			}
+		}
+	}
+	slices.Sort(slots)
+	p.matchSlots = slots
+}
 
 // pipelineTel is the instrument set of one compiled pipeline: per-stage
 // lookup/match/miss counters and the per-packet processing latency
@@ -150,6 +170,19 @@ type compileCfg struct {
 	schema *packet.HeaderSchema
 }
 
+// buildCompileCfg applies the options; without WithSchema the pipeline is
+// compiled against the default schema.
+func buildCompileCfg(opts []Option) compileCfg {
+	var cfg compileCfg
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.schema == nil {
+		cfg.schema = packet.DefaultDecoder().Schema()
+	}
+	return cfg
+}
+
 // WithTelemetry instruments the compiled pipeline against the registry:
 // per-stage lookup/match/miss counters
 // ("pipeline.<name>.stage<i>.<table>.lookups", ".matches", ".misses") and
@@ -162,38 +195,30 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 
 // WithSchema compiles the pipeline against a header schema: every match
 // column and rewriting action resolves to a FieldView slot index, and
-// the pipeline becomes processable through ProcessView on decoded views
-// of that schema. Compilation fails on attribute names outside the
-// schema and on tables whose Provenance names a different schema — a
-// VXLAN program cannot silently bind to the default parser. A nil schema
-// is a no-op, keeping the fixed Packet fast path.
+// the pipeline processes decoded views of that schema. Compilation fails
+// on attribute names outside the schema and on tables whose Provenance
+// names a different schema — a VXLAN program cannot silently bind to the
+// default parser. Without this option, or with a nil schema, the
+// pipeline is compiled against the default schema.
 func WithSchema(s *packet.HeaderSchema) Option {
 	return func(c *compileCfg) { c.schema = s }
 }
 
 // checkProvenance rejects schema/table mismatches in either direction.
 func checkProvenance(t *mat.Table, schema *packet.HeaderSchema) error {
-	if t.Provenance == "" {
-		return nil
-	}
-	if schema == nil {
-		if t.Provenance != packet.SchemaDefault {
-			return fmt.Errorf("dataplane: table %s was built against schema %q; compile it with WithSchema", t.Name, t.Provenance)
-		}
-		return nil
-	}
-	if t.Provenance != schema.Name {
+	if t.Provenance != "" && t.Provenance != schema.Name {
 		return fmt.Errorf("dataplane: table %s was built against schema %q, not %q", t.Name, t.Provenance, schema.Name)
 	}
 	return nil
 }
 
-// Ctx is per-worker scratch state: metadata registers and the key buffer.
-// One Ctx per goroutine; Process must not be called concurrently on the
-// same Ctx.
+// Ctx is per-worker scratch state: metadata registers, the key buffer and
+// the view the Packet entry points fill. One Ctx per goroutine; Process
+// must not be called concurrently on the same Ctx.
 type Ctx struct {
 	meta []uint64
 	key  []uint64
+	pkt  *packet.FieldView
 }
 
 // NewCtx allocates scratch state for the pipeline.
@@ -231,23 +256,19 @@ func Compile(p *mat.Pipeline, sel TemplateSelector, opts ...Option) (*Pipeline, 
 	if sel == nil {
 		sel = AutoTemplates
 	}
-	var cfg compileCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := buildCompileCfg(opts)
 	out := &Pipeline{
 		Name: p.Name, start: p.Start, schema: cfg.schema,
 		tables: make([]*Table, len(p.Stages)),
-		sel:    sel, opts: opts, metaIdx: make(map[string]int),
-	}
-	if cfg.schema != nil {
-		out.binder = packet.NewBinder(cfg.schema)
+		sel:    sel, opts: opts, binder: packet.NewBinder(cfg.schema),
+		metaIdx: make(map[string]int),
 	}
 	for si := range p.Stages {
 		if err := out.compileStage(p, si); err != nil {
 			return nil, err
 		}
 	}
+	out.collectMatchSlots()
 	if cfg.reg != nil {
 		tel := &pipelineTel{
 			procNs: cfg.reg.Histogram(fmt.Sprintf("pipeline.%s.process_ns", out.Name)),
@@ -295,6 +316,7 @@ func (p *Pipeline) Recompile(src *mat.Pipeline, dirty []int) (*Pipeline, error) 
 			return nil, err
 		}
 	}
+	out.collectMatchSlots()
 	return &out, nil
 }
 
@@ -335,17 +357,11 @@ func (p *Pipeline) compileStage(src *mat.Pipeline, si int) error {
 	}
 	for _, fi := range fields {
 		at := t.Schema[fi]
-		col := matchCol{width: at.Width, meta: -1, fid: -1, slot: -1}
+		col := matchCol{width: at.Width, meta: -1, slot: -1}
 		if mat.IsLinkAttr(at.Name) {
 			col.meta = p.metaOf(at.Name)
-		} else {
-			col.field = at.Name
-			col.fid = packet.FieldID(at.Name)
-			if p.binder != nil {
-				if col.slot = p.binder.Slot(at.Name); col.slot < 0 {
-					return fmt.Errorf("dataplane: table %s matches %q, not a field of schema %s", t.Name, at.Name, p.schema.Name)
-				}
-			}
+		} else if col.slot = p.binder.Slot(at.Name); col.slot < 0 {
+			return fmt.Errorf("dataplane: table %s matches %q, not a field of schema %s", t.Name, at.Name, p.schema.Name)
 		}
 		ct.cols = append(ct.cols, col)
 	}
@@ -368,11 +384,15 @@ func (p *Pipeline) compileStage(src *mat.Pipeline, si int) error {
 			case at.Name == "out":
 				acts = append(acts, Action{Kind: ActOutput, Value: e[i].Bits})
 			case at.Name == "mod_ttl":
-				acts = append(acts, Action{Kind: ActDecTTL, Slot: ttlSlot(p.binder)})
+				acts = append(acts, Action{Kind: ActDecTTL, Slot: p.binder.Slot(packet.FieldTTL)})
 			case mat.IsLinkAttr(at.Name):
 				acts = append(acts, Action{Kind: ActSetMeta, Meta: p.metaOf(at.Name), Value: e[i].Bits})
 			default:
-				acts = append(acts, Action{Kind: ActSetField, Field: actionField(at.Name), Slot: actionSlot(p.binder, at.Name), Value: e[i].Bits})
+				// A write to a field outside the schema is a no-op and
+				// compiles to nothing.
+				if slot := p.binder.ActionSlot(at.Name); slot >= 0 {
+					acts = append(acts, Action{Kind: ActSetField, Slot: slot, Value: e[i].Bits})
+				}
 			}
 		}
 		ct.acts = append(ct.acts, acts)
@@ -380,30 +400,6 @@ func (p *Pipeline) compileStage(src *mat.Pipeline, si int) error {
 	}
 	p.tables[si] = ct
 	return nil
-}
-
-// actionField maps action attribute names to the packet field they write;
-// the canonical mapping lives in internal/packet so the fusion compiler
-// can statically resolve rewrites against downstream matches.
-func actionField(name string) string { return packet.ActionField(name) }
-
-// actionSlot resolves a rewriting action attribute to its view slot
-// (-1 without a schema or for fields outside it — the view path then
-// no-ops exactly like Packet.SetField on an unknown name).
-func actionSlot(binder *packet.Binder, name string) int {
-	if binder == nil {
-		return -1
-	}
-	return binder.ActionSlot(name)
-}
-
-// ttlSlot resolves the dec-ttl target under a schema (-1 when the schema
-// carries no ip_ttl field; dec_ttl is then a no-op on the view path).
-func ttlSlot(binder *packet.Binder) int {
-	if binder == nil {
-		return -1
-	}
-	return binder.Slot(packet.FieldTTL)
 }
 
 // Trace records which packet bits a pipeline traversal consulted: for
@@ -417,108 +413,99 @@ func ttlSlot(binder *packet.Binder) int {
 // tables with overlapping longest-prefix entries would need miss-path
 // un-wildcarding as in the real OVS.
 type Trace struct {
-	// PLens maps canonical field names to consulted prefix lengths.
-	PLens map[string]uint8
+	// consulted holds, per slot, 1 + the longest prefix any visited table
+	// matched; 0 means no visited table consulted the slot.
+	consulted []uint8
 }
 
 // NewTrace allocates an empty trace.
-func NewTrace() *Trace { return &Trace{PLens: make(map[string]uint8, 8)} }
+func NewTrace() *Trace { return &Trace{} }
 
 // Reset clears the trace for reuse.
-func (tr *Trace) Reset() {
-	for k := range tr.PLens {
-		delete(tr.PLens, k)
+func (tr *Trace) Reset() { clear(tr.consulted) }
+
+// PLen reports the longest prefix of a slot any visited table matched,
+// and whether any visited table consulted the slot at all. A consulted
+// slot with prefix 0 was wildcarded, but its header's presence still
+// decided the path: a frame without it misses the table.
+func (tr *Trace) PLen(slot int) (plen uint8, consulted bool) {
+	if slot >= len(tr.consulted) || tr.consulted[slot] == 0 {
+		return 0, false
 	}
+	return tr.consulted[slot] - 1, true
 }
 
-func (tr *Trace) add(field string, plen uint8) {
-	if cur, ok := tr.PLens[field]; !ok || plen > cur {
-		tr.PLens[field] = plen
+func (tr *Trace) add(slot int, plen uint8) {
+	if slot >= len(tr.consulted) {
+		tr.consulted = append(tr.consulted, make([]uint8, slot+1-len(tr.consulted))...)
+	}
+	if plen+1 > tr.consulted[slot] {
+		tr.consulted[slot] = plen + 1
 	}
 }
 
 // Process runs one packet through the pipeline, mutating it according to
 // the matched actions, updating per-entry counters, and returning the
-// verdict. ctx must come from NewCtx on this pipeline.
+// verdict. ctx must come from NewCtx on this pipeline, which must be
+// compiled against the default schema. It is an adapter over ProcessView:
+// the packet is loaded into a default-schema view, processed, and the
+// view's header rewrites are stored back into pkt.
 func (p *Pipeline) Process(pkt *packet.Packet, ctx *Ctx) (Verdict, error) {
-	if p.fusedT != nil {
-		return p.processFused(pkt, ctx)
-	}
-	return p.process(pkt, nil, ctx, nil, nil)
+	view := ctx.packetView(pkt)
+	v, err := p.ProcessView(view, ctx)
+	view.StorePacket(pkt)
+	return v, err
 }
 
-// ProcessView runs one decoded FieldView through the pipeline — the
-// schema-driven twin of Process. The pipeline must have been compiled
-// with WithSchema on the view's schema; match columns and rewriting
-// actions then read and write slot indices directly, so the path stays
-// allocation-free for any header stack.
-func (p *Pipeline) ProcessView(view *packet.FieldView, ctx *Ctx) (Verdict, error) {
-	if p.schema == nil {
-		return Verdict{}, fmt.Errorf("dataplane: pipeline %s was not compiled with WithSchema", p.Name)
+// packetView loads pkt into the Ctx's default-schema view.
+func (ctx *Ctx) packetView(pkt *packet.Packet) *packet.FieldView {
+	if ctx.pkt == nil {
+		ctx.pkt = packet.DefaultDecoder().NewView()
 	}
-	if view.Schema() != p.schema {
-		return Verdict{}, fmt.Errorf("dataplane: pipeline %s compiled for schema %s, view is %s", p.Name, p.schema.Name, view.Schema().Name)
+	ctx.pkt.LoadPacket(pkt)
+	return ctx.pkt
+}
+
+// ProcessView runs one decoded FieldView through the pipeline, mutating
+// it according to the matched actions, updating per-entry counters, and
+// returning the verdict. The view must be of the schema the pipeline was
+// compiled against; match columns and rewriting actions read and write
+// its slots directly, so the path stays allocation-free for any header
+// stack. ctx must come from NewCtx on this pipeline.
+func (p *Pipeline) ProcessView(view *packet.FieldView, ctx *Ctx) (Verdict, error) {
+	if err := p.checkView(view); err != nil {
+		return Verdict{}, err
 	}
 	if p.fusedT != nil {
 		return p.processFusedView(view, ctx)
 	}
-	return p.process(nil, view, ctx, nil, nil)
+	return p.process(view, ctx, nil, nil)
 }
 
-// ProcessViewTraced is ProcessView plus megaflow wildcard tracing.
+// ProcessViewTraced is ProcessView plus megaflow wildcard tracing into tr
+// (which is reset first).
 func (p *Pipeline) ProcessViewTraced(view *packet.FieldView, ctx *Ctx, tr *Trace) (Verdict, error) {
-	if p.schema == nil {
-		return Verdict{}, fmt.Errorf("dataplane: pipeline %s was not compiled with WithSchema", p.Name)
+	if err := p.checkView(view); err != nil {
+		return Verdict{}, err
 	}
 	tr.Reset()
-	return p.process(nil, view, ctx, tr, nil)
+	return p.process(view, ctx, tr, nil)
 }
 
-// ProcessTraced is Process plus megaflow wildcard tracing into tr (which
-// is reset first).
-func (p *Pipeline) ProcessTraced(pkt *packet.Packet, ctx *Ctx, tr *Trace) (Verdict, error) {
-	tr.Reset()
-	return p.process(pkt, nil, ctx, tr, nil)
-}
-
-// ProcessBatch runs a batch of packets through the pipeline on one ctx,
-// writing the i-th verdict into out[i]. This is the amortized fast path the
-// switch models' batch APIs build on: one bounds check up front, no
-// per-packet call back into the selector machinery. out must hold at least
-// len(pkts) verdicts; processing stops at the first pipeline error.
-func (p *Pipeline) ProcessBatch(pkts []*packet.Packet, ctx *Ctx, out []Verdict) error {
-	if len(out) < len(pkts) {
-		return fmt.Errorf("dataplane: verdict buffer %d too small for batch of %d", len(out), len(pkts))
-	}
-	if p.fusedT != nil {
-		for i, pkt := range pkts {
-			v, err := p.processFused(pkt, ctx)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		return nil
-	}
-	for i, pkt := range pkts {
-		v, err := p.process(pkt, nil, ctx, nil, nil)
-		if err != nil {
-			return err
-		}
-		out[i] = v
+// checkView rejects a view of another schema than the pipeline's.
+func (p *Pipeline) checkView(view *packet.FieldView) error {
+	if view.Schema() != p.schema {
+		return fmt.Errorf("dataplane: pipeline %s compiled for schema %s, view is %s", p.Name, p.schema.Name, view.Schema().Name)
 	}
 	return nil
 }
 
 // process is the general stage loop — the single core every entry point
-// (struct, view, traced, witnessed, frame-batch) funnels into. Exactly
-// one of pkt and view is non-nil: the view branch reads and writes slot
-// indices resolved by WithSchema, the packet branch the dense FieldID
-// table. The branch is per field read but perfectly predicted within a
-// run, so the default Packet path keeps its measured shape. A non-nil
-// wit additionally builds the per-stage witness (ProcessExplain); the
-// nil checks cost nothing on the hot path.
-func (p *Pipeline) process(pkt *packet.Packet, view *packet.FieldView, ctx *Ctx, tr *Trace, wit *telemetry.Trace) (Verdict, error) {
+// (view, traced, witnessed, frame-batch, and the Packet adapters) funnels
+// into. A non-nil tr traces the consulted bits (megaflow); a non-nil wit
+// additionally builds the per-stage witness (ProcessExplain); the nil
+// checks cost nothing on the hot path.
+func (p *Pipeline) process(view *packet.FieldView, ctx *Ctx, tr *Trace, wit *telemetry.Trace) (Verdict, error) {
 	var t0 time.Time
 	if p.tel != nil {
 		t0 = time.Now()
@@ -550,16 +537,12 @@ func (p *Pipeline) process(pkt *packet.Packet, view *packet.FieldView, ctx *Ctx,
 				key[i] = ctx.meta[c.meta]
 				continue
 			}
-			var fv uint64
-			var ok bool
-			if view != nil {
-				fv, ok = view.Get(c.slot)
-			} else {
-				fv, ok = pkt.FieldByID(c.fid)
-			}
+			fv, ok := view.Ready(c.slot)
 			if !ok {
-				miss = true
-				break
+				if fv, ok = view.Get(c.slot); !ok {
+					miss = true
+					break
+				}
 			}
 			key[i] = fv
 		}
@@ -576,7 +559,7 @@ func (p *Pipeline) process(pkt *packet.Packet, view *packet.FieldView, ctx *Ctx,
 			if tr != nil {
 				for i := range t.cols {
 					if t.cols[i].meta < 0 {
-						tr.add(t.cols[i].field, t.cols[i].width)
+						tr.add(t.cols[i].slot, t.cols[i].width)
 					}
 				}
 			}
@@ -601,7 +584,7 @@ func (p *Pipeline) process(pkt *packet.Packet, view *packet.FieldView, ctx *Ctx,
 		if tr != nil {
 			for i := range t.cols {
 				if t.cols[i].meta < 0 {
-					tr.add(t.cols[i].field, t.plens[ei][i])
+					tr.add(t.cols[i].slot, t.plens[ei][i])
 				}
 			}
 		}
@@ -617,7 +600,7 @@ func (p *Pipeline) process(pkt *packet.Packet, view *packet.FieldView, ctx *Ctx,
 		setsMeta := false
 		for _, a := range t.acts[ei] {
 			if wit != nil && t.fusedStages == nil {
-				st.Actions = append(st.Actions, renderAction(a))
+				st.Actions = append(st.Actions, renderAction(a, p.schema))
 			}
 			switch a.Kind {
 			case ActOutput:
@@ -626,19 +609,11 @@ func (p *Pipeline) process(pkt *packet.Packet, view *packet.FieldView, ctx *Ctx,
 				ctx.meta[a.Meta] = a.Value
 				setsMeta = true
 			case ActDecTTL:
-				if view != nil {
-					if ttl, ok := view.Get(a.Slot); ok && ttl > 0 {
-						view.Set(a.Slot, ttl-1)
-					}
-				} else if pkt.HasIPv4 && pkt.TTL > 0 {
-					pkt.TTL--
+				if ttl, ok := view.Get(a.Slot); ok && ttl > 0 {
+					view.Set(a.Slot, ttl-1)
 				}
 			case ActSetField:
-				if view != nil {
-					view.Set(a.Slot, a.Value)
-				} else {
-					pkt.SetField(a.Field, a.Value)
-				}
+				view.Set(a.Slot, a.Value)
 			case ActDrop:
 				v.Drop = true
 			}

@@ -106,40 +106,6 @@ func defaultFrames() [][]byte {
 	return frames
 }
 
-// TestProcessFramesMatchesStructPathDefault cross-checks the wire-ingest
-// path against the struct path on the default schema: every frame's
-// ProcessFrames verdict must equal reparsing into a Packet and calling
-// Process.
-func TestProcessFramesMatchesStructPathDefault(t *testing.T) {
-	for _, sel := range []TemplateSelector{AutoTemplates} {
-		dp, err := Compile(fig1b(), sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames := defaultFrames()
-		frames = append(frames, []byte{0x02, 0x00}) // truncated: must drop
-		out := make([]Verdict, len(frames))
-		if err := dp.ProcessFrames(frames, NewFrameBatch(nil), out, nil); err != nil {
-			t.Fatal(err)
-		}
-		ctx := dp.NewCtx()
-		for i, f := range frames {
-			var pkt packet.Packet
-			want := Verdict{Drop: true}
-			if err := pkt.ParseInto(f); err == nil {
-				want, err = dp.Process(&pkt, ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if out[i].Drop != want.Drop || out[i].Port != want.Port {
-				t.Fatalf("frame %d: frames path {drop:%v port:%d}, struct path {drop:%v port:%d}",
-					i, out[i].Drop, out[i].Port, want.Drop, want.Port)
-			}
-		}
-	}
-}
-
 // TestProcessFramesMatchesViewPathSchemas cross-checks the wire-ingest
 // path against the per-frame view path on every generic builtin schema,
 // over hit, miss and truncated frames.
@@ -306,58 +272,4 @@ func TestProcessFramesArenaValidation(t *testing.T) {
 	if err := sdp.ProcessFrames(frames, NewFrameBatch(nil), out, nil); err == nil {
 		t.Fatal("default arena accepted by schema pipeline")
 	}
-}
-
-// FuzzFramesVsStructPath fuzzes arbitrary bytes through both ingest
-// surfaces: the struct path (ParseInto + Process; parse failure means
-// drop) and the wire path (ProcessFrames) must agree on every input, and
-// when the frame parses, its Marshal round-trip must agree too.
-func FuzzFramesVsStructPath(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(tcpTo(0x01020304, 0xC0000201, 80).Marshal(nil))
-	f.Add(tcpTo(0x80000001, 0xC0000202, 443).Marshal(nil))
-	f.Add(tcpTo(7, 0xC0000299, 8080).Marshal(nil))
-	dp, err := Compile(fig1b(), AutoTemplates)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ctx := dp.NewCtx()
-		arena := NewFrameBatch(nil)
-		out := make([]Verdict, 1)
-		check := func(frame []byte, label string) *packet.Packet {
-			var pkt packet.Packet
-			want := Verdict{Drop: true}
-			perr := pkt.ParseInto(frame)
-			if perr == nil {
-				var err error
-				want, err = dp.Process(&pkt, ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := dp.ProcessFrames([][]byte{frame}, arena, out, nil); err != nil {
-				t.Fatal(err)
-			}
-			if out[0].Drop != want.Drop || (!want.Drop && out[0].Port != want.Port) {
-				t.Fatalf("%s: frames path {drop:%v port:%d}, struct path {drop:%v port:%d}",
-					label, out[0].Drop, out[0].Port, want.Drop, want.Port)
-			}
-			if perr != nil {
-				return nil
-			}
-			return &pkt
-		}
-		pkt := check(data, "input")
-		if pkt == nil {
-			return
-		}
-		// Round-trip: re-marshal the parsed packet (fresh parse — Process
-		// may rewrite headers) and require agreement on the result too.
-		var clean packet.Packet
-		if err := clean.ParseInto(data); err != nil {
-			t.Fatal(err)
-		}
-		check(clean.Marshal(nil), "round-trip")
-	})
 }

@@ -30,14 +30,8 @@ import (
 // overlap in first-match order, so a hit does not imply the packet avoids
 // every earlier rule on the matched bits alone.
 func CompileFused(p *mat.Pipeline, opts ...Option) (*Pipeline, error) {
-	var cfg compileCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var binder *packet.Binder
-	if cfg.schema != nil {
-		binder = packet.NewBinder(cfg.schema)
-	}
+	cfg := buildCompileCfg(opts)
+	binder := packet.NewBinder(cfg.schema)
 	for _, st := range p.Stages {
 		if err := checkProvenance(st.Table, cfg.schema); err != nil {
 			return nil, err
@@ -65,13 +59,9 @@ func CompileFused(p *mat.Pipeline, opts ...Option) (*Pipeline, error) {
 		fusedStages: make([][]telemetry.TraceStage, len(prog.Rules)),
 	}
 	for _, c := range prog.Cols {
-		col := matchCol{
-			field: c.Name, fid: packet.FieldID(c.Name), slot: -1, meta: -1, width: c.Width,
-		}
-		if binder != nil {
-			if col.slot = binder.Slot(c.Name); col.slot < 0 {
-				return nil, fmt.Errorf("dataplane: fused %s matches %q, not a field of schema %s", p.Name, c.Name, cfg.schema.Name)
-			}
+		col := matchCol{slot: binder.Slot(c.Name), meta: -1, width: c.Width}
+		if col.slot < 0 {
+			return nil, fmt.Errorf("dataplane: fused %s matches %q, not a field of schema %s", p.Name, c.Name, cfg.schema.Name)
 		}
 		ct.cols = append(ct.cols, col)
 	}
@@ -93,10 +83,11 @@ func CompileFused(p *mat.Pipeline, opts ...Option) (*Pipeline, error) {
 		ct.gotos = append(ct.gotos, -1)
 		ct.plens = append(ct.plens, fullPlens)
 		ct.fusedTables[ri] = int32(r.Tables())
-		ct.fusedStages[ri] = fusedWitnessStages(r, metaIdx)
+		ct.fusedStages[ri] = fusedWitnessStages(r, metaIdx, binder)
 	}
 
 	out := &Pipeline{Name: p.Name, tables: []*Table{ct}, start: 0, fusedT: ct, fusedFDD: cls, schema: cfg.schema, opts: opts}
+	out.collectMatchSlots()
 	if cfg.reg != nil {
 		out.tel = &pipelineTel{
 			procNs: cfg.reg.Histogram(fmt.Sprintf("pipeline.%s.process_ns", out.Name)),
@@ -118,68 +109,12 @@ func CompileFused(p *mat.Pipeline, opts ...Option) (*Pipeline, error) {
 	return out, nil
 }
 
-// processFused is the fused hot path: the general stage loop specialized
-// for exactly one table with no metadata registers, no goto dispatch and
-// drop-on-miss, and with the decision-structure lookup devirtualized. It
-// must stay verdict-identical to process() on the same fused table (the
-// traced and ProcessExplain paths still run the general machinery).
-func (p *Pipeline) processFused(pkt *packet.Packet, ctx *Ctx) (Verdict, error) {
-	var t0 time.Time
-	if p.tel != nil {
-		t0 = time.Now()
-		p.tel.stages[0].lookups.Inc()
-	}
-	t := p.fusedT
-	key := ctx.key[:len(t.cols)]
-	ei := -1
-	ok := true
-	for i := range t.cols {
-		if key[i], ok = pkt.FieldByID(t.cols[i].fid); !ok {
-			break
-		}
-	}
-	if ok {
-		ei = p.fusedFDD.Lookup(key)
-	}
-	v := Verdict{Tables: 1}
-	if ei < 0 {
-		v.Drop = true
-		if p.tel != nil {
-			p.tel.stages[0].misses.Inc()
-			p.tel.procNs.Observe(float64(time.Since(t0)))
-		}
-		return v, nil
-	}
-	if p.tel != nil {
-		p.tel.stages[0].matches.Inc()
-	}
-	t.counters[ei].Add(1)
-	v.Tables = int(t.fusedTables[ei])
-	for _, a := range t.acts[ei] {
-		switch a.Kind {
-		case ActOutput:
-			v.Port = uint16(a.Value)
-		case ActDecTTL:
-			if pkt.HasIPv4 && pkt.TTL > 0 {
-				pkt.TTL--
-			}
-		case ActSetField:
-			pkt.SetField(a.Field, a.Value)
-		case ActDrop:
-			v.Drop = true
-		}
-	}
-	if p.tel != nil {
-		p.tel.procNs.Observe(float64(time.Since(t0)))
-	}
-	return v, nil
-}
-
-// processFusedView is the fused hot path over a decoded FieldView: the
-// same devirtualized single-lookup loop as processFused, with field reads
-// and writes going through the slot indices resolved by WithSchema. Kept
-// as a separate specialization so the default Packet path stays
-// byte-identical to its benchmarked shape.
+// processFusedView is the fused hot path: the general stage loop
+// specialized for exactly one table with no metadata registers, no goto
+// dispatch and drop-on-miss, and with the decision-structure lookup
+// devirtualized. It must stay verdict-identical to process() on the same
+// fused table (the traced and ProcessExplain paths still run the general
+// machinery).
 func (p *Pipeline) processFusedView(view *packet.FieldView, ctx *Ctx) (Verdict, error) {
 	var t0 time.Time
 	if p.tel != nil {
@@ -191,8 +126,10 @@ func (p *Pipeline) processFusedView(view *packet.FieldView, ctx *Ctx) (Verdict, 
 	ei := -1
 	ok := true
 	for i := range t.cols {
-		if key[i], ok = view.Get(t.cols[i].slot); !ok {
-			break
+		if key[i], ok = view.Ready(t.cols[i].slot); !ok {
+			if key[i], ok = view.Get(t.cols[i].slot); !ok {
+				break
+			}
 		}
 	}
 	if ok {
@@ -260,17 +197,21 @@ func (p *Pipeline) Fused() *FusedStats {
 // every downstream consumer was resolved at fusion time).
 const actNone ActionKind = 0xFF
 
-// lowerFusedAct maps one logical fused act to its physical action.
+// lowerFusedAct maps one logical fused act to its physical action; like
+// compileStage it lowers a write to a field outside the schema to nothing.
 func lowerFusedAct(a fdd.Act, binder *packet.Binder) Action {
 	switch {
 	case a.Attr == "out":
 		return Action{Kind: ActOutput, Value: a.Value}
 	case a.Attr == "mod_ttl":
-		return Action{Kind: ActDecTTL, Slot: ttlSlot(binder)}
+		return Action{Kind: ActDecTTL, Slot: binder.Slot(packet.FieldTTL)}
 	case mat.IsLinkAttr(a.Attr):
 		return Action{Kind: actNone}
 	default:
-		return Action{Kind: ActSetField, Field: actionField(a.Attr), Slot: actionSlot(binder, a.Attr), Value: a.Value}
+		if slot := binder.ActionSlot(a.Attr); slot >= 0 {
+			return Action{Kind: ActSetField, Slot: slot, Value: a.Value}
+		}
+		return Action{Kind: actNone}
 	}
 }
 
@@ -305,12 +246,14 @@ func assignMetaIndices(p *mat.Pipeline) map[string]int {
 
 // fusedWitnessStages pre-renders the logical per-table witness of one
 // fused rule; ProcessExplain replays it verbatim.
-func fusedWitnessStages(r fdd.Rule, metaIdx map[string]int) []telemetry.TraceStage {
+func fusedWitnessStages(r fdd.Rule, metaIdx map[string]int, binder *packet.Binder) []telemetry.TraceStage {
 	stages := make([]telemetry.TraceStage, 0, len(r.Steps))
 	for _, s := range r.Steps {
 		st := telemetry.TraceStage{Stage: s.Stage, Table: s.Table, Entry: s.Entry, Join: s.Join}
 		for _, a := range s.Acts {
-			st.Actions = append(st.Actions, renderFusedAct(a, metaIdx))
+			if act, ok := renderFusedAct(a, metaIdx, binder); ok {
+				st.Actions = append(st.Actions, act)
+			}
 		}
 		stages = append(stages, st)
 	}
@@ -318,16 +261,20 @@ func fusedWitnessStages(r fdd.Rule, metaIdx map[string]int) []telemetry.TraceSta
 }
 
 // renderFusedAct formats one logical act exactly as the interpreted
-// witness renders the corresponding compiled action.
-func renderFusedAct(a fdd.Act, metaIdx map[string]int) string {
+// witness renders the corresponding compiled action; ok is false for a
+// write to a field outside the schema, which compiles to nothing.
+func renderFusedAct(a fdd.Act, metaIdx map[string]int, binder *packet.Binder) (string, bool) {
 	switch {
 	case a.Attr == "out":
-		return fmt.Sprintf("out=%d", a.Value)
+		return fmt.Sprintf("out=%d", a.Value), true
 	case a.Attr == "mod_ttl":
-		return "dec_ttl"
+		return "dec_ttl", true
 	case mat.IsLinkAttr(a.Attr):
-		return fmt.Sprintf("meta[%d]=%d", metaIdx[a.Attr], a.Value)
-	default:
-		return fmt.Sprintf("set %s=%#x", actionField(a.Attr), a.Value)
+		return fmt.Sprintf("meta[%d]=%d", metaIdx[a.Attr], a.Value), true
 	}
+	slot := binder.ActionSlot(a.Attr)
+	if slot < 0 {
+		return "", false
+	}
+	return renderSetField(binder.Schema(), slot, a.Value), true
 }

@@ -142,14 +142,22 @@ func TestProcessNoAllocsWithoutTelemetry(t *testing.T) {
 				t.Errorf("Process allocates %v per packet", allocs)
 			}
 
-			pkts := witnessGrid()
-			out := make([]Verdict, len(pkts))
-			if allocs := testing.AllocsPerRun(50, func() {
-				if err := dp.ProcessBatch(pkts, ctx, out); err != nil {
+			var views []*packet.FieldView
+			for _, pkt := range witnessGrid() {
+				v, err := packet.DefaultDecoder().Parse(pkt.Marshal(nil))
+				if err != nil {
 					t.Fatal(err)
 				}
+				views = append(views, v)
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				for _, v := range views {
+					if _, err := dp.ProcessView(v, ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}); allocs != 0 {
-				t.Errorf("ProcessBatch allocates %v per batch", allocs)
+				t.Errorf("ProcessView allocates %v per batch", allocs)
 			}
 		})
 	}

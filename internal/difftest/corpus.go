@@ -149,7 +149,7 @@ func CorpusFiles(dir string) ([]string, error) {
 
 // Replay executes one corpus file and reports its divergences plus the
 // kind recorded when it was written. Regression tests assert that every
-// committed reproducer still diverges with its recorded kind.
+// committed reproducer still behaves as recorded (Reproduces).
 func Replay(path string, cfg ExecConfig) ([]Divergence, string, error) {
 	p, kind, err := ReadCorpus(path)
 	if err != nil {
@@ -157,4 +157,19 @@ func Replay(path string, cfg ExecConfig) ([]Divergence, string, error) {
 	}
 	divs, err := Execute(p, cfg)
 	return divs, kind, err
+}
+
+// Reproduces reports whether a replay's divergences are the ones its
+// reproducer recorded: at least one of the recorded kind, or none at all
+// for a KindFixed reproducer.
+func Reproduces(divs []Divergence, kind string) bool {
+	if kind == KindFixed {
+		return len(divs) == 0
+	}
+	for _, d := range divs {
+		if d.Kind == kind {
+			return true
+		}
+	}
+	return false
 }

@@ -3,7 +3,6 @@ package difftest
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"manorm/internal/core"
 	"manorm/internal/dataplane"
@@ -12,18 +11,7 @@ import (
 	"manorm/internal/netkat"
 	"manorm/internal/packet"
 	"manorm/internal/switches"
-	"manorm/internal/telemetry"
 )
-
-// mutTargets maps the generator's rewriting actions onto the canonical
-// header field the dataplane writes them to (internal/dataplane's action
-// lowering); the mutation check compares those header fields against the
-// action attributes the relational semantics assigned.
-var mutTargets = map[string]string{
-	"mod_vlan": packet.FieldVLAN,
-	"mod_smac": packet.FieldEthSrc,
-	"mod_dmac": packet.FieldEthDst,
-}
 
 // truth is the relational ground truth for one packet: the universal
 // table's observable output.
@@ -137,6 +125,7 @@ func Execute(p *Program, cfg ExecConfig) ([]Divergence, error) {
 			recs[i] = view.Record()
 		}
 	} else {
+		dec = packet.DefaultDecoder()
 		frames = make([][]byte, n)
 		for i, pkt := range p.Packets {
 			recs[i] = pkt.Record()
@@ -227,38 +216,22 @@ func Execute(p *Program, cfg ExecConfig) ([]Divergence, error) {
 	// Raw dataplane: verdicts, witness consistency, header mutations.
 	// Every executor reparses its own copy of the frame bytes, as a real
 	// datapath would.
-	dpOpts := []dataplane.Option(nil)
-	if dec != nil {
-		dpOpts = append(dpOpts, dataplane.WithSchema(dec.Schema()))
-	}
+	binder := packet.NewBinder(dec.Schema())
 	arena := dataplane.NewFrameBatch(dec)
 	fout := make([]dataplane.Verdict, len(frames))
 	for _, v := range compiled {
-		dp, err := dataplane.Compile(v.Pipeline, dataplane.AutoTemplates, dpOpts...)
+		dp, err := dataplane.Compile(v.Pipeline, dataplane.AutoTemplates, dataplane.WithSchema(dec.Schema()))
 		if err != nil {
 			add(KindConstruct, v.Name, "dataplane", -1, "compile: %v", err)
 			continue
 		}
 		ctx := dp.NewCtx()
-		var scratch packet.Packet
-		var view *packet.FieldView
-		if dec != nil {
-			view = dec.NewView()
-		}
+		view := dec.NewView()
 		for i := range frames {
-			var verd dataplane.Verdict
-			var wit *telemetry.Trace
-			if view != nil {
-				if err := dec.ParseInto(view, frames[i]); err != nil {
-					return nil, fmt.Errorf("difftest: reparse frame %d: %w", i, err)
-				}
-				verd, wit, err = dp.ProcessExplainView(view, ctx)
-			} else {
-				if err := scratch.ParseInto(frames[i]); err != nil {
-					return nil, fmt.Errorf("difftest: reparse frame %d: %w", i, err)
-				}
-				verd, wit, err = dp.ProcessExplain(&scratch, ctx)
+			if err := dec.ParseInto(view, frames[i]); err != nil {
+				return nil, fmt.Errorf("difftest: reparse frame %d: %w", i, err)
 			}
+			verd, wit, err := dp.ProcessExplainView(view, ctx)
 			if err != nil {
 				add(KindEval, v.Name, "dataplane", i, "%v", err)
 				break
@@ -277,20 +250,14 @@ func Execute(p *Program, cfg ExecConfig) ([]Divergence, error) {
 				break
 			}
 			if !exp.drop {
-				var d string
-				if view != nil {
-					d = checkViewMutations(p.Table.Schema, exp.obs, recs[i], view)
-				} else {
-					d = checkMutations(p.Table.Schema, exp.obs, p.Packets[i], &scratch)
-				}
-				if d != "" {
+				if d := checkMutations(binder, p.Table.Schema, exp.obs, recs[i], view); d != "" {
 					add(KindMutation, v.Name, "dataplane", i, "%s", d)
 					break
 				}
 			}
 		}
 		// Frame-batch ingest cross-check: the same frames through the
-		// zero-copy wire surface must replay the struct-path verdicts.
+		// zero-copy wire surface must replay the per-frame verdicts.
 		// (The switch-model pass below already IS the frames path per
 		// model; this pins the raw ProcessFrames entry point itself.)
 		if err := dp.ProcessFrames(frames, arena, fout, nil); err != nil {
@@ -316,12 +283,8 @@ func Execute(p *Program, cfg ExecConfig) ([]Divergence, error) {
 	// and must replay identical verdicts.
 	out1 := make([]dataplane.Verdict, len(frames))
 	out2 := make([]dataplane.Verdict, len(frames))
-	swOpts := []switches.Option(nil)
-	if dec != nil {
-		swOpts = append(swOpts, switches.WithSchema(dec))
-	}
 	for _, model := range cfg.Models {
-		sw, err := switches.New(model, swOpts...)
+		sw, err := switches.New(model, switches.WithSchema(dec))
 		if err != nil {
 			return nil, err
 		}
@@ -361,47 +324,25 @@ func Execute(p *Program, cfg ExecConfig) ([]Divergence, error) {
 }
 
 // checkMutations compares the dataplane's final header fields against the
-// relational record: for every rewriting action attribute in the schema
-// the mapped header field must equal the value the relational semantics
-// assigned (or the original value if the relational run never wrote it).
-// It returns a description of the first mismatch, or "".
-func checkMutations(sch mat.Schema, obs mat.Record, orig *packet.Packet, got *packet.Packet) string {
+// relational record: every rewriting action attribute that writes a field
+// of the view's schema (packet.Binder.ActionSlot — the legacy aliases
+// mod_smac/mod_dmac/mod_vlan and the generic mod_<field>) must leave that
+// field equal to the value the relational semantics assigned, or to its
+// originally parsed value when the relational run never wrote it. It
+// returns a description of the first mismatch, or "".
+func checkMutations(b *packet.Binder, sch mat.Schema, obs mat.Record, orig mat.Record, got *packet.FieldView) string {
 	for _, ai := range sch.Actions() {
 		name := sch[ai].Name
-		fldName, ok := mutTargets[name]
-		if !ok {
+		slot := b.ActionSlot(name)
+		if slot < 0 {
 			continue
 		}
-		want, wrote := obs[name]
-		if !wrote {
-			want, _ = orig.Field(fldName)
-		}
-		have, _ := got.Field(fldName)
-		if have != want {
-			return fmt.Sprintf("%s: header %s = %d, want %d", name, fldName, have, want)
-		}
-	}
-	return ""
-}
-
-// checkViewMutations is checkMutations for schema mode. The canonical
-// mutTargets map is replaced by the naming convention the schema
-// generators follow: any action attribute "mod_<field>" where <field> is
-// a field of the view's schema must leave that field equal to the value
-// the relational semantics assigned — or its originally parsed value when
-// the relational run never wrote it.
-func checkViewMutations(sch mat.Schema, obs mat.Record, orig mat.Record, got *packet.FieldView) string {
-	for _, ai := range sch.Actions() {
-		name := sch[ai].Name
-		fld, isMod := strings.CutPrefix(name, "mod_")
-		if !isMod || got.Schema().Slot(fld) < 0 {
-			continue
-		}
+		fld := got.Schema().SlotName(slot)
 		want, wrote := obs[name]
 		if !wrote {
 			want = orig[fld]
 		}
-		have, _ := got.GetName(fld)
+		have, _ := got.Get(slot)
 		if have != want {
 			return fmt.Sprintf("%s: field %s = %#x, want %#x", name, fld, have, want)
 		}

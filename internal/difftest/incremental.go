@@ -341,31 +341,17 @@ func (r *incrementalRun) repair() []openflow.FlowMod {
 
 // sample is the packet batch a barrier is checked on: the program's own
 // packets, and for every flow-mod of the batch a copy of one of them moved
-// into the mod's match region. The fields no stage matches are redrawn, so
-// that the copy is a flow of its own: the OVS model's EMC key leaves out
-// the MAC addresses, and two frames differing only there would share a
-// microflow entry whatever the program does with them.
+// into the mod's match region.
 func (r *incrementalRun) sample(batch []openflow.FlowMod) [][]byte {
 	frames := make([][]byte, 0, len(r.base)+len(batch))
 	for _, pkt := range r.base {
 		frames = append(frames, pkt.Marshal(nil))
-	}
-	matched := make(map[string]bool)
-	for _, st := range r.live.Stages {
-		for _, fi := range st.Table.Schema.Fields() {
-			matched[st.Table.Schema[fi].Name] = true
-		}
 	}
 	for _, mod := range batch {
 		if len(r.base) == 0 {
 			break
 		}
 		pkt := *r.base[r.rng.Intn(len(r.base))]
-		for _, f := range fieldPool {
-			if !matched[f.name] {
-				pkt.SetField(f.name, r.rng.Uint64()&mask(f.width))
-			}
-		}
 		for _, m := range mod.Match {
 			free := mask(m.Width) &^ prefixMask(m.Cell.PLen, m.Width)
 			pkt.SetField(m.Name, m.Cell.Bits|r.rng.Uint64()&free)

@@ -33,7 +33,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 	for _, p := range programs {
 		steps := 6
 		if p.Note == "gwlb" {
-			steps = 40 // seven stages to spread the batches over
+			steps = 50 // seven stages to spread the batches over
 		}
 		divs, runs, err := ExecuteIncremental(p, steps, DefaultExecConfig())
 		if err != nil {

@@ -92,21 +92,15 @@ func TestShrinkWriteReplay(t *testing.T) {
 	if kind != divs[0].Kind {
 		t.Fatalf("recorded kind %q, want %q", kind, divs[0].Kind)
 	}
-	found := false
-	for _, d := range replayed {
-		if d.Kind == kind {
-			found = true
-		}
-	}
-	if !found {
+	if !Reproduces(replayed, kind) {
 		t.Fatalf("replayed corpus file lost its %q divergence: %v", kind, replayed)
 	}
 }
 
 // TestReplayCommittedCorpus replays every reproducer committed under
 // testdata/corpus: each must still produce a divergence of its recorded
-// kind. This is the regression net over previously found bugs (and over
-// the deliberately planted caveat demos).
+// kind, or none for a KindFixed one. This is the regression net over
+// previously found bugs (and over the deliberately planted caveat demos).
 func TestReplayCommittedCorpus(t *testing.T) {
 	files, err := CorpusFiles(filepath.Join("testdata", "corpus"))
 	if err != nil {
@@ -123,13 +117,7 @@ func TestReplayCommittedCorpus(t *testing.T) {
 		if kind == "" {
 			t.Fatalf("%s: no recorded divergence kind", f)
 		}
-		found := false
-		for _, d := range divs {
-			if d.Kind == kind {
-				found = true
-			}
-		}
-		if !found {
+		if !Reproduces(divs, kind) {
 			b, _ := os.ReadFile(f)
 			t.Fatalf("%s: recorded kind %q not reproduced (got %v)\n%s", f, kind, divs, b)
 		}

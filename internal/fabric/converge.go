@@ -218,9 +218,10 @@ func (f *Fabric) checkForwarding(oracle *mat.Pipeline, dumps []*mat.Pipeline, pk
 		ctxs[i] = compiled[i].NewCtx()
 	}
 
+	view := packet.DefaultDecoder().NewView()
 	for pi, pkt := range pkts {
-		ocp := *pkt
-		ov, owit, err := op.ProcessExplain(&ocp, octx)
+		view.LoadPacket(pkt)
+		ov, owit, err := op.ProcessExplainView(view, octx)
 		if err != nil {
 			return fmt.Errorf("fabric: oracle packet %d: %w", pi, err)
 		}
@@ -228,8 +229,8 @@ func (f *Fabric) checkForwarding(oracle *mat.Pipeline, dumps []*mat.Pipeline, pk
 		diverged := false
 		var detail strings.Builder
 		for i := range compiled {
-			cp := *pkt
-			mv, mwit, err := compiled[i].ProcessExplain(&cp, ctxs[i])
+			view.LoadPacket(pkt)
+			mv, mwit, err := compiled[i].ProcessExplainView(view, ctxs[i])
 			if err != nil {
 				return fmt.Errorf("fabric: %s packet %d: %w", f.members[i].Name, pi, err)
 			}

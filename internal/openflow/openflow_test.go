@@ -303,7 +303,7 @@ func TestCommitRejectsAmbiguousEntries(t *testing.T) {
 func TestCommitAmbiguityValidator(t *testing.T) {
 	// Direct validator exercise: a hand-built pipeline where a flow-mod
 	// creates cross-column ambiguity, which the barrier must reject.
-	tab := mat.New("T", mat.Schema{mat.F("ip", 32), mat.F("port", 16), mat.A("out", 16)})
+	tab := mat.New("T", mat.Schema{mat.F("ip_src", 32), mat.F("tcp_dst", 16), mat.A("out", 16)})
 	tab.Add(mat.IPv4Prefix("10.0.0.0", 16), mat.Any(), mat.Exact(1, 16))
 	p := &mat.Pipeline{Name: "amb", Start: 0, Stages: []mat.Stage{{Table: tab, Next: -1, MissDrop: true}}}
 	agent, err := NewAgent(switches.NewLagopus(), p)
@@ -311,7 +311,7 @@ func TestCommitAmbiguityValidator(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := agent.ApplyFlowMod(&FlowMod{Command: FlowAdd, TableID: 0,
-		Match:   []MatchField{{Name: "port", Width: 16, Cell: mat.Exact(80, 16)}},
+		Match:   []MatchField{{Name: "tcp_dst", Width: 16, Cell: mat.Exact(80, 16)}},
 		Actions: []ActionField{{Name: "out", Width: 16, Value: 2}},
 	}); err != nil {
 		t.Fatal(err)

@@ -37,12 +37,12 @@ const (
 	FieldInnerIPDst  = "inner_ip_dst"
 )
 
-// Header indices of the default schema (legacy codec presence bits).
+// Header indices of the default schema (its presence bits).
 const (
-	legacyHdrEth = iota
-	legacyHdrVLAN
-	legacyHdrIPv4
-	legacyHdrL4
+	defaultHdrEth = iota
+	defaultHdrVLAN
+	defaultHdrIPv4
+	defaultHdrL4
 )
 
 // ethHeader returns a generic Ethernet header with the given field-name
@@ -92,11 +92,11 @@ func mplsHeader(name, prefix string) Header {
 	}}
 }
 
-// defaultGraph builds the legacy default schema: the canonical
-// Ethernet/VLAN/IPv4/L4 field set, decoded and encoded by the
-// hand-written Packet codec for bit-identical pre-schema behavior. Its
-// slot order equals the dense FieldID order, so slot i and FieldID i name
-// the same field.
+// defaultGraph builds the default schema: the canonical
+// Ethernet/VLAN/IPv4/L4 field set, decoded by a hand-written decoder
+// (FieldView.parseDefault) and encoded by the Packet codec for
+// bit-identical pre-schema behavior. Its slot order is the ID* constant
+// order, so slot IDEthDst is eth_dst and so on.
 func defaultGraph() *ParseGraph {
 	s := &HeaderSchema{
 		Name:   SchemaDefault,
@@ -122,8 +122,8 @@ func defaultGraph() *ParseGraph {
 			}},
 		},
 	}
-	// The states document the logical parse chain; the legacy codec does
-	// the actual steering (including the IHL/checksum handling the
+	// The states document the logical parse chain; parseDefault does the
+	// actual steering (including the IHL/checksum handling the
 	// generic decoder does not model).
 	return &ParseGraph{
 		Schema: s,
@@ -276,10 +276,10 @@ func BuiltinGraph(name string) (*ParseGraph, error) {
 
 // DefaultDecoder returns the default schema's decoder; it always
 // compiles.
-func DefaultDecoder() *Decoder {
+var DefaultDecoder = sync.OnceValue(func() *Decoder {
 	d, err := BuiltinDecoder(SchemaDefault)
 	if err != nil {
 		panic(err)
 	}
 	return d
-}
+})

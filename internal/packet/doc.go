@@ -27,15 +27,16 @@
 // # Built-in schemas
 //
 // The pre-schema Ethernet (optionally 802.1Q-tagged)/IPv4/TCP-UDP stack
-// survives as the built-in "default" schema. Its decoder delegates to the
-// original hand-written Packet codec (VLAN untagging, IHL options,
-// checksum verification and recomputation, minimum-frame padding), so
-// default-schema behavior is bit-identical to the fixed-struct era, and
-// its slot order equals the dense FieldID order. VXLAN, MPLS and GTP-U
+// survives as the built-in "default" schema. Its decoder is hand-written
+// (VLAN untagging, IHL options, checksum verification, TotalLen trim) and
+// fuzzed against the original Packet codec, which also still encodes it
+// (checksum recomputation, minimum-frame padding), so default-schema
+// behavior is bit-identical to the fixed-struct era; its slot order is
+// the ID* constant order. VXLAN, MPLS and GTP-U
 // ship as worked examples (BuiltinDecoder), each carried by a usecase
 // experiment in internal/usecases.
 //
-// The legacy Packet struct remains as the default schema's codec and for
-// packages not yet migrated; new code should use accessors or a
-// FieldView rather than its struct fields.
+// Every datapath forwards FieldViews. The legacy Packet struct remains as
+// the default decoder's oracle and encoder, for trafficgen's frame
+// construction, and behind the Packet adapters the benchmark calls.
 package packet

@@ -1,9 +1,9 @@
 package packet
 
-// Dense field identifiers for the canonical header fields. Hot paths that
-// would otherwise re-dispatch on a field *name* per packet (string switch)
-// resolve the name to an id once at compile/install time and read via
-// FieldByID, which compiles to an integer jump table.
+// Slot indices of the default schema's fields: the default decoder fills
+// them directly, and the Packet adapters (LoadPacket, StorePacket) map
+// them to the struct fields. Every other datapath resolves names to slots
+// through the schema (HeaderSchema.Slot) at compile time.
 const (
 	IDEthDst = iota
 	IDEthSrc
@@ -15,68 +15,9 @@ const (
 	IDTTL
 	IDTCPSrc
 	IDTCPDst
-	// NumFieldIDs bounds the id space.
+	// NumFieldIDs is the default schema's slot count.
 	NumFieldIDs
 )
-
-// FieldID resolves a canonical field name to its dense id, or -1 for an
-// unknown name (FieldByID(-1) then reports the field absent, matching
-// Field's behavior on unknown names).
-func FieldID(name string) int {
-	switch name {
-	case FieldEthDst:
-		return IDEthDst
-	case FieldEthSrc:
-		return IDEthSrc
-	case FieldEthType:
-		return IDEthType
-	case FieldVLAN:
-		return IDVLAN
-	case FieldIPSrc:
-		return IDIPSrc
-	case FieldIPDst:
-		return IDIPDst
-	case FieldIPProto:
-		return IDIPProto
-	case FieldTTL:
-		return IDTTL
-	case FieldTCPSrc:
-		return IDTCPSrc
-	case FieldTCPDst:
-		return IDTCPDst
-	default:
-		return -1
-	}
-}
-
-// FieldByID reads a header field by dense id; semantically identical to
-// Field(name) for the corresponding name.
-func (p *Packet) FieldByID(id int) (uint64, bool) {
-	switch id {
-	case IDEthDst:
-		return p.EthDst, true
-	case IDEthSrc:
-		return p.EthSrc, true
-	case IDEthType:
-		return uint64(p.EthType), true
-	case IDVLAN:
-		return uint64(p.VLANID), p.HasVLAN
-	case IDIPSrc:
-		return uint64(p.IPSrc), p.HasIPv4
-	case IDIPDst:
-		return uint64(p.IPDst), p.HasIPv4
-	case IDIPProto:
-		return uint64(p.Proto), p.HasIPv4
-	case IDTTL:
-		return uint64(p.TTL), p.HasIPv4
-	case IDTCPSrc:
-		return uint64(p.SrcPort), p.HasL4
-	case IDTCPDst:
-		return uint64(p.DstPort), p.HasL4
-	default:
-		return 0, false
-	}
-}
 
 // ActionField maps rewriting action attribute names to the packet field
 // they write (mod_smac -> eth_src etc.); unknown names pass through and are

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -80,4 +81,107 @@ func TestMarshalParseIdempotentOnReparse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// codecSeeds returns the frames the default-decoder oracle starts from:
+// every truncation of a tagged and an untagged TCP frame and of a UDP
+// frame, IPv4 options, a bad checksum, a bad version, a TotalLen shorter
+// than the frame, and non-IPv4 EtherTypes.
+func codecSeeds() [][]byte {
+	tcp := TCP4(0x0a0b0c0d0e0f, 0x010203040506, 0xc0a80101, 0x0a000001, 1234, 80)
+	tcp.Payload = []byte("payload")
+	tagged := *tcp
+	tagged.HasVLAN, tagged.VLANID, tagged.VLANPrio = true, 0x123, 5
+	udp := *tcp
+	udp.Proto = ProtoUDP
+	icmp := *tcp
+	icmp.Proto, icmp.HasL4 = ProtoICMP, false
+	var seeds [][]byte
+	for _, p := range []*Packet{tcp, &tagged, &udp} {
+		wire := p.Marshal(nil)
+		for n := 0; n <= len(wire); n++ {
+			seeds = append(seeds, wire[:n])
+		}
+	}
+	seeds = append(seeds, icmp.Marshal(nil))
+
+	// IHL 6: a 4-byte option between the IPv4 and TCP headers.
+	wire := tcp.Marshal(nil)
+	ip := append(append([]byte(nil), wire[EthHeaderLen:EthHeaderLen+IPv4HeaderLen]...), 1, 1, 1, 1)
+	ip[0] = 0x46
+	ip[10], ip[11] = 0, 0
+	cs := Checksum(ip)
+	ip[10], ip[11] = byte(cs>>8), byte(cs)
+	seeds = append(seeds, append(append(append([]byte(nil), wire[:EthHeaderLen]...), ip...), wire[EthHeaderLen+IPv4HeaderLen:]...))
+
+	badCsum := tcp.Marshal(nil)
+	badCsum[EthHeaderLen+10] ^= 0xff
+	badVer := tcp.Marshal(nil)
+	badVer[EthHeaderLen] = 0x65
+	// TotalLen shorter than the frame: the codec trims the L4 payload (and
+	// the minimum-frame padding) at the datagram's end.
+	short := tcp.Marshal(nil)
+	short[EthHeaderLen+2], short[EthHeaderLen+3] = 0, IPv4HeaderLen+TCPHeaderLen+2
+	short[EthHeaderLen+10], short[EthHeaderLen+11] = 0, 0
+	cs = Checksum(short[EthHeaderLen : EthHeaderLen+IPv4HeaderLen])
+	short[EthHeaderLen+10], short[EthHeaderLen+11] = byte(cs>>8), byte(cs)
+	seeds = append(seeds, badCsum, badVer, short)
+
+	for _, et := range []uint16{EtherTypeARP, EtherTypeMPLS, 0x86dd} {
+		seeds = append(seeds, (&Packet{EthDst: 1, EthSrc: 2, EthType: et, Payload: []byte{1, 2, 3}}).Marshal(nil))
+		tg := &Packet{EthDst: 1, EthSrc: 2, EthType: et, HasVLAN: true, VLANID: 9, Payload: []byte{4}}
+		seeds = append(seeds, tg.Marshal(nil))
+	}
+	return seeds
+}
+
+// FuzzDefaultDecoderMatchesCodec holds the default schema's decoder — the
+// one every default-schema frame is forwarded through — to the Packet
+// codec: on every frame both accept or both reject with the same typed
+// reason, and an accepted frame has the same per-header presence, every
+// slot equal to its struct field, the same payload and the same
+// unknown-next-header verdict. The view is reused across frames, as the
+// ingest rings reuse it, so state a parse fails to overwrite shows up too.
+func FuzzDefaultDecoderMatchesCodec(f *testing.F) {
+	for _, s := range codecSeeds() {
+		f.Add(s)
+	}
+	dec := DefaultDecoder()
+	v := dec.NewView()
+	prior := codecSeeds()[len(codecSeeds())/2]
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		_ = dec.ParseInto(v, prior)
+		err := dec.ParseInto(v, frame)
+		var p Packet
+		perr := p.ParseInto(frame)
+		if (err == nil) != (perr == nil) || DecodeReasonOf(err) != DecodeReasonOf(perr) {
+			t.Fatalf("decoder error %v (%v), codec error %v (%v)", err, DecodeReasonOf(err), perr, DecodeReasonOf(perr))
+		}
+		if err != nil {
+			if v.Present() != 0 {
+				t.Fatalf("rejected frame left presence %b", v.Present())
+			}
+			return
+		}
+		for hi, want := range []bool{true, p.HasVLAN, p.HasIPv4, p.HasL4} {
+			if v.HeaderPresent(hi) != want {
+				t.Fatalf("header %d present %v, codec %v", hi, v.HeaderPresent(hi), want)
+			}
+		}
+		for id, name := range defaultNames {
+			want, wok := p.Field(name)
+			got, ok := v.Get(id)
+			if ok != wok || (ok && got != want) {
+				t.Fatalf("%s: view (%#x,%v), codec (%#x,%v)", name, got, ok, want, wok)
+			}
+		}
+		if !bytes.Equal(v.Payload(), p.Payload) {
+			t.Fatalf("payload %x, codec %x", v.Payload(), p.Payload)
+		}
+		unknown := p.EthType != EtherTypeIPv4 ||
+			(p.HasIPv4 && !p.HasL4 && p.Proto != ProtoTCP && p.Proto != ProtoUDP)
+		if v.UnknownNext() != unknown {
+			t.Fatalf("unknown next-header %v, codec %v", v.UnknownNext(), unknown)
+		}
+	})
 }

@@ -35,11 +35,12 @@ const (
 // Packet is a decoded Ethernet/IPv4/L4 packet. Zero-valued fields of
 // layers beyond ParsedLayers are meaningless.
 //
-// Deprecated: direct struct-field access ties callers to the fixed
-// default header stack. New code should read and write fields through
-// the accessors (Field/SetField/FieldByID) or, for schema-driven paths,
-// through a FieldView — the struct fields remain exported only for the
-// default schema's codec and the packages still being migrated.
+// Deprecated: nothing forwards Packets — every datapath runs on
+// FieldViews. Packet keeps three roles: its codec (ParseInto, Marshal) is
+// the oracle the default schema's decoder is tested against; trafficgen
+// builds default-schema frames with it; and the Packet entry points of
+// the dataplane and switch models (adapters over the view path via
+// LoadPacket/StorePacket) serve the benchmark's probes.
 type Packet struct {
 	// Ethernet.
 	EthDst  uint64 // 48-bit MAC
@@ -92,8 +93,10 @@ func Parse(b []byte) (*Packet, error) {
 	return p, nil
 }
 
-// ParseInto decodes into an existing Packet, avoiding the allocation in
-// hot paths. The previous contents are overwritten.
+// ParseInto decodes into an existing Packet, avoiding an allocation. The
+// previous contents are overwritten. It is the oracle of the default
+// schema's decoder (FieldView.parseDefault): the two must accept, reject
+// and decode every frame alike.
 func (p *Packet) ParseInto(b []byte) error {
 	*p = Packet{}
 	if len(b) < EthHeaderLen {
@@ -163,6 +166,65 @@ func (p *Packet) ParseInto(b []byte) error {
 	}
 	p.Payload = b[off:end]
 	return nil
+}
+
+// LoadPacket fills a view of the default schema from p: a header is
+// present when p carries its layer, and its slots hold p's fields. The
+// payload aliases p.Payload. It panics on a view of any other schema.
+func (v *FieldView) LoadPacket(p *Packet) {
+	if !v.dec.legacy {
+		panic("packet: LoadPacket on a view of schema " + v.dec.schema.Name)
+	}
+	c := v.cells[:NumFieldIDs]
+	clear(c)
+	v.frame, v.unknownNext = nil, false
+	v.present = 1 << defaultHdrEth
+	c[IDEthDst] = cell{p.EthDst, true}
+	c[IDEthSrc] = cell{p.EthSrc, true}
+	c[IDEthType] = cell{uint64(p.EthType), true}
+	if p.HasVLAN {
+		v.present |= 1 << defaultHdrVLAN
+		c[IDVLAN] = cell{uint64(p.VLANID), true}
+	}
+	if p.HasIPv4 {
+		v.present |= 1 << defaultHdrIPv4
+		c[IDIPSrc] = cell{uint64(p.IPSrc), true}
+		c[IDIPDst] = cell{uint64(p.IPDst), true}
+		c[IDIPProto] = cell{uint64(p.Proto), true}
+		c[IDTTL] = cell{uint64(p.TTL), true}
+	}
+	if p.HasL4 {
+		v.present |= 1 << defaultHdrL4
+		c[IDTCPSrc] = cell{uint64(p.SrcPort), true}
+		c[IDTCPDst] = cell{uint64(p.DstPort), true}
+	}
+	v.payload = p.Payload
+}
+
+// StorePacket writes a default-schema view back into p: the layer flags
+// follow the view's presence, and the fields of every present layer take
+// the view's slot values. Fields of absent layers and those the schema
+// does not carry (VLAN priority, TOS, ...) are left as they were. It
+// panics on a view of any other schema.
+func (v *FieldView) StorePacket(p *Packet) {
+	if !v.dec.legacy {
+		panic("packet: StorePacket on a view of schema " + v.dec.schema.Name)
+	}
+	c := v.cells[:NumFieldIDs]
+	p.EthDst, p.EthSrc, p.EthType = c[IDEthDst].val, c[IDEthSrc].val, uint16(c[IDEthType].val)
+	p.HasVLAN = v.present&(1<<defaultHdrVLAN) != 0
+	if p.HasVLAN {
+		p.VLANID = uint16(c[IDVLAN].val)
+	}
+	p.HasIPv4 = v.present&(1<<defaultHdrIPv4) != 0
+	if p.HasIPv4 {
+		p.IPSrc, p.IPDst = uint32(c[IDIPSrc].val), uint32(c[IDIPDst].val)
+		p.Proto, p.TTL = uint8(c[IDIPProto].val), uint8(c[IDTTL].val)
+	}
+	p.HasL4 = v.present&(1<<defaultHdrL4) != 0
+	if p.HasL4 {
+		p.SrcPort, p.DstPort = uint16(c[IDTCPSrc].val), uint16(c[IDTCPDst].val)
+	}
 }
 
 // Marshal serializes the packet into buf (allocating when nil or too

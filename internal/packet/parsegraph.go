@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -222,17 +223,11 @@ func compileLoad(sl slotInfo, hdrBytes int) slotLoad {
 // reused across ParseInto calls; create one per worker. A fresh view holds
 // no frame: every slot reads zero once its header is marked present.
 func (d *Decoder) NewView() *FieldView {
-	n := len(d.schema.slots)
-	v := &FieldView{
+	return &FieldView{
 		dec:    d,
-		slots:  make([]uint64, n),
-		ready:  make([]bool, n),
+		cells:  make([]cell, len(d.schema.slots)),
 		hdrOff: make([]int, len(d.schema.Headers)),
 	}
-	if d.legacy {
-		v.lp = &Packet{}
-	}
-	return v
 }
 
 // ParseInto decodes a frame into v, reusing its storage. The frame must
@@ -247,18 +242,18 @@ func (d *Decoder) NewView() *FieldView {
 // Get runs a slot's load the first time the slot is read. The view and
 // its payload therefore alias the frame, and slot reads are valid only
 // while the frame bytes are unchanged (see FieldView). The default schema
-// fills its slots eagerly from the hand-written codec.
+// fills its slots eagerly (parseDefault).
 func (d *Decoder) ParseInto(v *FieldView, frame []byte) error {
 	if v.dec != d {
 		return fmt.Errorf("packet: view belongs to schema %s, decoder is %s", v.dec.schema.Name, d.schema.Name)
 	}
 	if d.legacy {
-		return d.legacyParse(v, frame)
+		return v.parseDefault(frame)
 	}
 	v.present = 0
 	v.unknownNext = false
 	v.frame = frame
-	clear(v.ready)
+	clear(v.cells)
 	cur := d.start
 	if len(frame) < d.states[cur].size {
 		return d.errShort
@@ -341,79 +336,114 @@ func (d *Decoder) Marshal(v *FieldView, buf []byte) []byte {
 		clear(hb)
 		for i := st.first; i < st.first+st.nFields; i++ {
 			sl := &d.schema.slots[i]
-			writeBits(hb, sl.bitOff, sl.width, v.slots[i])
+			writeBits(hb, sl.bitOff, sl.width, v.cells[i].val)
 		}
 	}
 	return append(buf, v.payload...)
 }
 
-// legacyParse is the default schema's decode path: the hand-written
-// Packet codec runs unchanged (VLAN untagging, IHL options, checksum
-// verification, TotalLen payload trim), then the canonical fields are
-// copied into slots — eagerly, each marked ready or absent, so a
-// default-schema view never retains a frame. Bit-identical to pre-schema
-// behavior by construction.
-func (d *Decoder) legacyParse(v *FieldView, frame []byte) error {
-	if err := v.lp.ParseInto(frame); err != nil {
-		return err
+// parseDefault is the default schema's decode path: the hand-written
+// Ethernet/VLAN/IPv4/L4 decoder (VLAN untagging, IHL options, checksum
+// verification, TotalLen payload trim) writing every cell directly —
+// ready, or empty for an absent header — so a default-schema view never
+// retains a frame. Packet.ParseInto is the same decoder over the struct,
+// kept as the oracle this one is fuzzed against
+// (FuzzDefaultDecoderMatchesCodec): both accept and reject the same frames
+// and agree on every field, presence bit and payload.
+func (v *FieldView) parseDefault(b []byte) error {
+	c := v.cells[:NumFieldIDs]
+	v.frame = nil
+	if len(b) < EthHeaderLen {
+		return v.reject(errShortEth)
 	}
-	p := v.lp
-	// The legacy graph's unknown next-headers: a non-IPv4 EtherType, or an
-	// IPv4 protocol the codec has no L4 state for (truncation-stopped
-	// parses are not "unknown" — the steering value was fine).
-	v.unknownNext = p.EthType != EtherTypeIPv4 ||
-		(p.HasIPv4 && !p.HasL4 && p.Proto != ProtoTCP && p.Proto != ProtoUDP)
-	v.present = 1 << legacyHdrEth
-	s, r := v.slots, v.ready
-	s[IDEthDst], s[IDEthSrc], s[IDEthType] = p.EthDst, p.EthSrc, uint64(p.EthType)
-	r[IDEthDst], r[IDEthSrc], r[IDEthType] = true, true, true
-	// An absent layer's Packet fields are zero (ParseInto starts from the
-	// zero Packet), so the copies below zero the slots of absent headers.
-	if p.HasVLAN {
-		v.present |= 1 << legacyHdrVLAN
+	et := binary.BigEndian.Uint16(b[12:14])
+	off := EthHeaderLen
+	present := uint64(1 << defaultHdrEth)
+	c[IDVLAN] = cell{}
+	if et == EtherTypeVLAN {
+		if len(b) < off+VLANTagLen {
+			return v.reject(errShortVLAN)
+		}
+		c[IDVLAN] = cell{uint64(binary.BigEndian.Uint16(b[14:16]) & 0x0FFF), true}
+		present |= 1 << defaultHdrVLAN
+		et = binary.BigEndian.Uint16(b[16:18])
+		off += VLANTagLen
 	}
-	s[IDVLAN], r[IDVLAN] = uint64(p.VLANID), p.HasVLAN
-	if p.HasIPv4 {
-		v.present |= 1 << legacyHdrIPv4
+	c[IDEthDst] = cell{mac48(b[0:6]), true}
+	c[IDEthSrc] = cell{mac48(b[6:12]), true}
+	c[IDEthType] = cell{uint64(et), true}
+	c[IDIPSrc], c[IDIPDst], c[IDIPProto], c[IDTTL] = cell{}, cell{}, cell{}, cell{}
+	c[IDTCPSrc], c[IDTCPDst] = cell{}, cell{}
+	v.present = present
+	// The default graph's unknown next-headers: a non-IPv4 EtherType, or
+	// an IPv4 protocol with no L4 state (truncation-stopped parses are not
+	// "unknown" — the steering value was fine).
+	v.unknownNext = et != EtherTypeIPv4
+	if et != EtherTypeIPv4 || len(b) < off+IPv4HeaderLen {
+		v.payload = b[off:]
+		return nil
 	}
-	s[IDIPSrc], s[IDIPDst], s[IDIPProto], s[IDTTL] = uint64(p.IPSrc), uint64(p.IPDst), uint64(p.Proto), uint64(p.TTL)
-	r[IDIPSrc], r[IDIPDst], r[IDIPProto], r[IDTTL] = p.HasIPv4, p.HasIPv4, p.HasIPv4, p.HasIPv4
-	if p.HasL4 {
-		v.present |= 1 << legacyHdrL4
+	ip := b[off:]
+	ihl := int(ip[0]&0x0F) * 4
+	if ip[0]>>4 != 4 || ihl < IPv4HeaderLen || len(ip) < ihl {
+		return v.reject(errBadIPv4)
 	}
-	s[IDTCPSrc], s[IDTCPDst] = uint64(p.SrcPort), uint64(p.DstPort)
-	r[IDTCPSrc], r[IDTCPDst] = p.HasL4, p.HasL4
-	v.payload = p.Payload
+	if Checksum(ip[:ihl]) != 0 {
+		return v.reject(errBadIPv4Csum)
+	}
+	proto := ip[9]
+	c[IDIPSrc] = cell{uint64(binary.BigEndian.Uint32(ip[12:16])), true}
+	c[IDIPDst] = cell{uint64(binary.BigEndian.Uint32(ip[16:20])), true}
+	c[IDIPProto] = cell{uint64(proto), true}
+	c[IDTTL] = cell{uint64(ip[8]), true}
+	present |= 1 << defaultHdrIPv4
+
+	// The IP datagram ends at TotalLen; anything beyond is Ethernet
+	// padding (minimum frame size), not payload.
+	end := off + int(binary.BigEndian.Uint16(ip[2:4]))
+	if end < off+ihl || end > len(b) {
+		end = len(b)
+	}
+	off += ihl
+	if proto != ProtoTCP && proto != ProtoUDP {
+		v.unknownNext = true
+	} else if end >= off+4 {
+		c[IDTCPSrc] = cell{uint64(binary.BigEndian.Uint16(b[off : off+2])), true}
+		c[IDTCPDst] = cell{uint64(binary.BigEndian.Uint16(b[off+2 : off+4])), true}
+		present |= 1 << defaultHdrL4
+		l4len := TCPHeaderLen
+		if proto == ProtoUDP {
+			l4len = UDPHeaderLen
+		}
+		if end >= off+l4len {
+			off += l4len
+		} else {
+			off = end
+		}
+	}
+	v.present = present
+	v.payload = b[off:end]
 	return nil
 }
 
-// legacyMarshal rebuilds the scratch Packet from the view and runs the
-// hand-written encoder (length/checksum recompute, minimum-frame
-// padding).
+// reject empties the view and returns the decode error: a rejected frame
+// leaves no header present and no cell ready.
+func (v *FieldView) reject(err error) error {
+	clear(v.cells)
+	v.present = 0
+	v.unknownNext = false
+	v.payload = nil
+	return err
+}
+
+// legacyMarshal rebuilds a Packet from the view and runs the hand-written
+// encoder (length/checksum recompute, minimum-frame padding).
 func (d *Decoder) legacyMarshal(v *FieldView, buf []byte) []byte {
-	p := v.lp
-	*p = Packet{
-		EthDst:  v.slots[IDEthDst],
-		EthSrc:  v.slots[IDEthSrc],
-		EthType: uint16(v.slots[IDEthType]),
-		Payload: v.payload,
-	}
-	if v.present&(1<<legacyHdrVLAN) != 0 {
-		p.HasVLAN = true
-		p.VLANID = uint16(v.slots[IDVLAN])
-	}
-	if v.present&(1<<legacyHdrIPv4) != 0 {
-		p.HasIPv4 = true
+	var p Packet
+	v.StorePacket(&p)
+	if p.HasIPv4 {
 		p.IPVerIHL = 0x45
-		p.TTL = uint8(v.slots[IDTTL])
-		p.Proto = uint8(v.slots[IDIPProto])
-		p.IPSrc = uint32(v.slots[IDIPSrc])
-		p.IPDst = uint32(v.slots[IDIPDst])
 	}
-	if v.present&(1<<legacyHdrL4) != 0 {
-		p.HasL4 = true
-		p.SrcPort = uint16(v.slots[IDTCPSrc])
-		p.DstPort = uint16(v.slots[IDTCPDst])
-	}
+	p.Payload = v.payload
 	return p.Marshal(buf)
 }

@@ -18,7 +18,7 @@ type FieldSpec struct {
 // bit-packed, big-endian, in declaration order. The total width must be a
 // whole number of bytes (the generic codec reads and writes whole
 // headers); the built-in default schema is exempt because it rides the
-// hand-written Ethernet/VLAN/IPv4/L4 codec instead.
+// hand-written Ethernet/VLAN/IPv4/L4 decoder and encoder instead.
 type Header struct {
 	Name   string      `json:"name"`
 	Fields []FieldSpec `json:"fields"`
@@ -49,10 +49,9 @@ type slotInfo struct {
 
 // HeaderSchema is a named, ordered set of headers whose fields flatten
 // into a dense slot space: slot i is the i-th field in header-then-field
-// declaration order. The slot indices are the protocol-independent
-// analogue of the canonical FieldID table — datapaths resolve attribute
-// names to slots once at compile time and read packet state as
-// FieldView.Get(slot) on the hot path.
+// declaration order. Datapaths resolve attribute names to slots once at
+// compile time and read packet state as FieldView.Get(slot) on the hot
+// path.
 //
 // Header order is wire order: a parse graph over the schema may only
 // transition forward (a DAG in declaration order), and the generic
@@ -61,9 +60,10 @@ type HeaderSchema struct {
 	Name    string   `json:"name"`
 	Headers []Header `json:"headers"`
 
-	// legacy marks the built-in default schema, which decodes and encodes
-	// through the hand-written Packet codec (bit-identical to the
-	// pre-schema stack) rather than the generic bit-packed codec.
+	// legacy marks the built-in default schema, which decodes through a
+	// hand-written decoder and encodes through the Packet codec
+	// (bit-identical to the pre-schema stack) rather than the generic
+	// bit-packed codec.
 	legacy bool
 
 	slots    []slotInfo
@@ -185,52 +185,56 @@ func (s *HeaderSchema) headerBytes(hi int) int { return (s.Headers[hi].Bits() + 
 
 // FieldView is a decoded packet under a header schema: one uint64 slot
 // per schema field plus a per-header presence mask and the trailing
-// payload. It is the protocol-independent replacement for the fixed
-// Packet struct — datapaths address fields by slot index, so the hot path
-// is an array load instead of a struct-field switch, and the same
-// compiled pipeline code serves any schema.
+// payload. It is the one forwarding representation: datapaths address
+// fields by slot index, so the hot path is an array load instead of a
+// struct-field switch, and the same compiled pipeline code serves any
+// schema, the default one included.
 //
 // A view is created once per worker (Decoder.NewView) and refilled per
 // frame by Decoder.ParseInto; the per-frame methods (ParseInto, Get, Set)
 // do not allocate.
 //
-// Lifetime: a parsed view aliases its frame. ParseInto records where each
-// header starts and keeps the frame; a slot is extracted from those bytes
-// the first time Get reads it and cached until the next parse, and
-// Payload is a sub-slice of the frame. Slot reads and the payload are
-// therefore valid only while the frame bytes are unchanged — a caller
-// that reuses its receive buffer must finish with the view (or Clone it)
-// first. Set stores in the view, never in the frame, and a stored value
-// wins over the frame's. Clone materializes every present slot and
-// copies the payload, so a clone owns everything it reads. A view that
-// holds no parse — fresh from NewView, after Reset, or with headers
-// switched on by MarkPresent — reads zero in every slot nothing was Set
-// in, never bytes of an earlier frame.
+// Lifetime: a parsed view aliases its frame. On a generic schema
+// ParseInto records where each header starts and keeps the frame; a slot
+// is extracted from those bytes the first time Get reads it and cached
+// until the next parse. Payload is a sub-slice of the frame on every
+// schema. Slot reads and the payload are therefore valid only while the
+// frame bytes are unchanged — a caller that reuses its receive buffer
+// must finish with the view (or Clone it) first. Set stores in the view,
+// never in the frame, and a stored value wins over the frame's. Clone
+// materializes every present slot and copies the payload, so a clone
+// owns everything it reads. A view that holds no parse — fresh from
+// NewView, after Reset, or with headers switched on by MarkPresent —
+// reads zero in every slot nothing was Set in, never bytes of an earlier
+// frame.
 //
 // Because Get fills the cache, a view is single-goroutine state even for
 // reads.
 type FieldView struct {
-	dec   *Decoder
-	slots []uint64
-	// ready[i] means slots[i] is current and its header present — Get's one
-	// test. A slot of a present header that is not ready still sits in
-	// frame at hdrOff[header]: only ParseInto turns a header on without
-	// readying its slots, and it clears ready with one memclr, which is
-	// what makes decoding cost the walk alone.
-	ready []bool
+	dec *Decoder
+	// cells[i].ok means cells[i].val is current and its header present —
+	// Get's one test, on the same cache line as the value. A slot of a
+	// present header whose cell is not ok still sits in frame at
+	// hdrOff[header]: only the generic ParseInto turns a header on without
+	// filling its cells, and it clears them with one memclr, which is what
+	// makes decoding cost the walk alone.
+	cells []cell
 	// hdrOff is the byte offset of each present, parsed header in frame.
 	hdrOff  []int
 	frame   []byte
 	present uint64
 	payload []byte
-	// lp is the scratch Packet behind the default schema's legacy codec
-	// (nil for generic schemas).
-	lp *Packet
 	// unknownNext, set per parse, flags an accepted frame whose select
 	// value matched no transition and had no default to fall back to —
 	// the frame is kept (remaining bytes as payload), but ingest arenas
 	// count it.
 	unknownNext bool
+}
+
+// cell is one slot of a view: its value and whether the value is current.
+type cell struct {
+	val uint64
+	ok  bool
 }
 
 // Schema returns the view's header schema.
@@ -243,8 +247,7 @@ func (v *FieldView) Decoder() *Decoder { return v.dec }
 func (v *FieldView) Reset() {
 	v.present = 0
 	v.unknownNext = false
-	clear(v.slots)
-	clear(v.ready)
+	clear(v.cells)
 	v.frame = nil
 	v.payload = nil
 }
@@ -255,22 +258,40 @@ func (v *FieldView) Reset() {
 // the frame was kept, with the unparsed bytes as payload.
 func (v *FieldView) UnknownNext() bool { return v.unknownNext }
 
+// Present returns the presence mask: bit h is set when header h of the
+// schema was parsed (or marked present).
+func (v *FieldView) Present() uint64 { return v.present }
+
 // Get reads a slot; the second result is false when the slot is out of
 // range or its header is absent — mirroring Packet.Field's contract. The
-// first read of a slot after a parse extracts it from the frame.
+// first read of a slot after a generic parse extracts it from the frame.
 func (v *FieldView) Get(slot int) (uint64, bool) {
-	if uint(slot) >= uint(len(v.slots)) {
+	if uint(slot) >= uint(len(v.cells)) {
 		return 0, false
 	}
-	if v.ready[slot] {
-		return v.slots[slot], true
+	if c := v.cells[slot]; c.ok {
+		return c.val, true
 	}
 	if v.present&v.dec.slotMask[slot] == 0 {
 		return 0, false
 	}
 	x := v.extract(slot)
-	v.slots[slot], v.ready[slot] = x, true
+	v.cells[slot] = cell{x, true}
 	return x, true
+}
+
+// Ready is the inlinable fast path of Get: the slot's value when it is
+// already current (every present slot after a default-schema parse, a
+// generic slot once read or Set), one load with no call. A false result
+// means "ask Get", not "absent". Hot loops read Ready first and fall back
+// to Get, which must call out to extract and is over the compiler's
+// inlining budget.
+func (v *FieldView) Ready(slot int) (uint64, bool) {
+	if uint(slot) < uint(len(v.cells)) {
+		c := v.cells[slot]
+		return c.val, c.ok
+	}
+	return 0, false
 }
 
 // extract runs the compiled load of one slot of a present, parsed header
@@ -306,8 +327,8 @@ func (v *FieldView) loadAll() {
 		}
 		st := &d.states[hi]
 		for i := st.first; i < st.first+st.nFields; i++ {
-			if !v.ready[i] {
-				v.slots[i], v.ready[i] = v.extract(i), true
+			if !v.cells[i].ok {
+				v.cells[i] = cell{v.extract(i), true}
 			}
 		}
 	}
@@ -317,13 +338,13 @@ func (v *FieldView) loadAll() {
 // slot exists and its header is present — mirroring Packet.SetField. The
 // value lives in the view; the frame is not written.
 func (v *FieldView) Set(slot int, val uint64) bool {
-	if uint(slot) >= uint(len(v.slots)) {
+	if uint(slot) >= uint(len(v.cells)) {
 		return false
 	}
 	if v.present&v.dec.slotMask[slot] == 0 {
 		return false
 	}
-	v.slots[slot], v.ready[slot] = val&v.dec.loads[slot].mask, true
+	v.cells[slot] = cell{val & v.dec.loads[slot].mask, true}
 	return true
 }
 
@@ -351,7 +372,7 @@ func (v *FieldView) MarkPresent(hi int) {
 	v.present |= 1 << uint(hi)
 	st := &v.dec.states[hi]
 	for i := st.first; i < st.first+st.nFields; i++ {
-		v.slots[i], v.ready[i] = 0, true
+		v.cells[i] = cell{0, true}
 	}
 }
 
@@ -377,10 +398,10 @@ func (v *FieldView) SetPayload(b []byte) { v.payload = b }
 // field name. The schema-generic analogue of Packet.Record.
 func (v *FieldView) Record() mat.Record {
 	v.loadAll()
-	r := make(mat.Record, len(v.slots))
-	for i := range v.slots {
+	r := make(mat.Record, len(v.cells))
+	for i, c := range v.cells {
 		if v.present&v.dec.slotMask[i] != 0 {
-			r[v.dec.schema.slots[i].name] = v.slots[i]
+			r[v.dec.schema.slots[i].name] = c.val
 		}
 	}
 	return r
@@ -391,8 +412,7 @@ func (v *FieldView) Record() mat.Record {
 func (v *FieldView) Clone() *FieldView {
 	v.loadAll()
 	c := v.dec.NewView()
-	copy(c.slots, v.slots)
-	copy(c.ready, v.ready)
+	copy(c.cells, v.cells)
 	c.present = v.present
 	c.payload = append([]byte(nil), v.payload...)
 	return c

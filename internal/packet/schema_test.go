@@ -5,21 +5,20 @@ import (
 	"testing"
 )
 
-// TestDefaultSchemaMatchesFieldIDs pins the contract the dataplane relies
-// on: the default schema's slot order is exactly the dense FieldID order,
-// with the canonical names and widths.
+// TestDefaultSchemaMatchesFieldIDs pins the contract the default decoder
+// and the Packet adapters rely on: the default schema's slot order is
+// exactly the ID* constant order, with the canonical names and widths.
 func TestDefaultSchemaMatchesFieldIDs(t *testing.T) {
 	s := DefaultDecoder().Schema()
 	if s.NumSlots() != NumFieldIDs {
 		t.Fatalf("default schema has %d slots, want %d", s.NumSlots(), NumFieldIDs)
 	}
-	for i := 0; i < NumFieldIDs; i++ {
-		name := s.SlotName(i)
-		if FieldID(name) != i {
-			t.Errorf("slot %d is %q but FieldID(%q)=%d", i, name, name, FieldID(name))
+	for id, name := range defaultNames {
+		if s.Slot(name) != id {
+			t.Errorf("slot of %q is %d, want ID %d", name, s.Slot(name), id)
 		}
-		if s.SlotWidth(i) != FieldWidth(name) {
-			t.Errorf("slot %d width %d != FieldWidth(%q)=%d", i, s.SlotWidth(i), name, FieldWidth(name))
+		if s.SlotWidth(id) != FieldWidth(name) {
+			t.Errorf("slot %d width %d != FieldWidth(%q)=%d", id, s.SlotWidth(id), name, FieldWidth(name))
 		}
 	}
 }
@@ -48,11 +47,11 @@ func TestDefaultSchemaBitIdentical(t *testing.T) {
 		if err := lp.ParseInto(wire); err != nil {
 			t.Fatalf("pkt %d: legacy ParseInto: %v", i, err)
 		}
-		for id := 0; id < NumFieldIDs; id++ {
-			lv, lok := lp.FieldByID(id)
+		for id, name := range defaultNames {
+			lv, lok := lp.Field(name)
 			sv, sok := v.Get(id)
 			if lok != sok || (lok && lv != sv) {
-				t.Errorf("pkt %d slot %d (%s): legacy (%d,%v) view (%d,%v)", i, id, FieldIDName(id), lv, lok, sv, sok)
+				t.Errorf("pkt %d slot %d (%s): legacy (%d,%v) view (%d,%v)", i, id, name, lv, lok, sv, sok)
 			}
 		}
 		reWire := v.Marshal(nil)
@@ -62,9 +61,6 @@ func TestDefaultSchemaBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// FieldIDName is a test helper mapping a dense id back to its name.
-func FieldIDName(id int) string { return DefaultDecoder().Schema().SlotName(id) }
 
 // fillChain builds a view with the full header chain present and random
 // field values, then forces the select fields so the graph re-parses the

@@ -5,7 +5,6 @@ import (
 
 	"manorm/internal/dataplane"
 	"manorm/internal/mat"
-	"manorm/internal/packet"
 	"manorm/internal/telemetry"
 )
 
@@ -43,16 +42,6 @@ func (s *ESwitch) Install(p *mat.Pipeline) error {
 // Update re-specializes the templates of the dirty stages only.
 func (s *ESwitch) Update(p *mat.Pipeline, dirty []int) error {
 	return s.update("eswitch", p, dirty)
-}
-
-// Process classifies through the specialized templates (single-threaded
-// convenience; parallel drivers use the frame APIs or NewWorker).
-func (s *ESwitch) Process(pkt *packet.Packet) (dataplane.Verdict, error) {
-	dp := s.dp.Load()
-	if dp == nil {
-		return dataplane.Verdict{}, errNotProgrammed
-	}
-	return dp.Process(pkt, s.ctx)
 }
 
 // ApplyMods models a flow-mod batch. ESwitch recompiles its datapath on

@@ -4,7 +4,6 @@ import (
 	"manorm/internal/classifier"
 	"manorm/internal/dataplane"
 	"manorm/internal/mat"
-	"manorm/internal/packet"
 	"manorm/internal/telemetry"
 )
 
@@ -40,23 +39,6 @@ func (s *Lagopus) Install(p *mat.Pipeline) error {
 // Update reprograms the dirty stages of the interpreted pipeline.
 func (s *Lagopus) Update(p *mat.Pipeline, dirty []int) error {
 	return s.update("lagopus", p, dirty)
-}
-
-// Process lifts the packet into the generic record representation (the
-// interpreter's per-packet metadata structure) and then classifies. The
-// record is built and discarded per packet — the model's honest stand-in
-// for Lagopus's generic flowinfo handling; it dominates service time and
-// is identical for every representation.
-func (s *Lagopus) Process(pkt *packet.Packet) (dataplane.Verdict, error) {
-	dp := s.dp.Load()
-	if dp == nil {
-		return dataplane.Verdict{}, errNotProgrammed
-	}
-	rec := pkt.Record()
-	if len(rec) == 0 {
-		return dataplane.Verdict{Drop: true, Tables: 0}, nil
-	}
-	return dp.Process(pkt, s.ctx)
 }
 
 // ApplyMods is a no-op for the model.

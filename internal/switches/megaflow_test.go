@@ -153,21 +153,28 @@ func TestTraceMasksAreMinimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := dataplane.NewTrace()
-	pkt := packet.TCP4(1, 2, 0x01000000, 0xC0000201, 1234, 80)
-	if _, err := dp.ProcessTraced(pkt, dp.NewCtx(), tr); err != nil {
+	view, err := packet.DefaultDecoder().Parse(packet.TCP4(1, 2, 0x01000000, 0xC0000201, 1234, 80).Marshal(nil))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.PLens[packet.FieldIPSrc]; got != 1 {
-		t.Errorf("ip_src traced to /%d, want /1 (tenant-1 split)", got)
+	if _, err := dp.ProcessViewTraced(view, dp.NewCtx(), tr); err != nil {
+		t.Fatal(err)
 	}
-	if got := tr.PLens[packet.FieldIPDst]; got != 32 {
-		t.Errorf("ip_dst traced to /%d, want /32", got)
-	}
-	if got := tr.PLens[packet.FieldTCPDst]; got != 16 {
-		t.Errorf("tcp_dst traced to /%d, want /16", got)
+	for _, c := range []struct {
+		slot int
+		want uint8
+		why  string
+	}{
+		{packet.IDIPSrc, 1, "tenant-1 split"},
+		{packet.IDIPDst, 32, "exact"},
+		{packet.IDTCPDst, 16, "exact"},
+	} {
+		if got, ok := tr.PLen(c.slot); !ok || got != c.want {
+			t.Errorf("slot %d traced to /%d (consulted %v), want /%d (%s)", c.slot, got, ok, c.want, c.why)
+		}
 	}
 	// Fields no table consults must stay wildcarded.
-	if _, ok := tr.PLens[packet.FieldEthSrc]; ok {
+	if _, ok := tr.PLen(packet.IDEthSrc); ok {
 		t.Errorf("untouched field eth_src traced")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"manorm/internal/dataplane"
 	"manorm/internal/mat"
-	"manorm/internal/packet"
 	"manorm/internal/telemetry"
 )
 
@@ -59,16 +58,6 @@ func (s *NoviFlow) Update(p *mat.Pipeline, dirty []int) error {
 		s.entries[si] = len(p.Stages[si].Table.Entries)
 	}
 	return nil
-}
-
-// Process executes the pipeline for functional results; the hardware's
-// timing comes from Perf, not from the software execution time.
-func (s *NoviFlow) Process(pkt *packet.Packet) (dataplane.Verdict, error) {
-	dp := s.dp.Load()
-	if dp == nil {
-		return dataplane.Verdict{}, errNotProgrammed
-	}
-	return dp.Process(pkt, s.ctx)
 }
 
 // ApplyMods is functionally a no-op (the benchmark reinstalls pipelines

@@ -21,6 +21,9 @@ import (
 // single flow cache; in other words, OVS explicitly denormalizes the
 // pipeline").
 //
+// Both cache layers key on the slots the installed program matches (see
+// flowKey), so the hierarchy works the same on every header schema.
+//
 // Sharding mirrors the real datapath's per-PMD-thread design: every
 // worker owns a private EMC (exact-match microflow cache) and megaflow
 // cache, filled independently from the shared immutable slow path.
@@ -42,30 +45,15 @@ type OVS struct {
 	// exported so existing callers keep compiling.
 	Misses, Hits, MegaHits atomic.Uint64
 	// prim is the worker behind the single-threaded packet-level Process
-	// API and the cache-size inspectors.
+	// API and the cache-size inspectors; view is the default-schema view
+	// Process loads packets into.
 	prim *ovsWorker
+	view *packet.FieldView
 	pool sync.Pool
 	// reg is the optional metrics registry (WithTelemetry).
 	reg *telemetry.Registry
-	// dec is the schema-mode decoder (WithSchema). The EMC key and the
-	// megaflow classifier are hardwired to the canonical header fields, so
-	// schema-mode shards skip both layers and take the slow path for every
-	// frame — modeling a datapath whose caches cannot key on the custom
-	// protocol.
+	// dec is the decoder of the schema the model forwards (WithSchema).
 	dec *packet.Decoder
-}
-
-type ovsKey struct {
-	src, dst   uint32
-	sport      uint16
-	dport      uint16
-	ethType    uint16
-	vlan       uint16
-	proto, ttl uint8
-}
-
-type ovsHit struct {
-	verdict dataplane.Verdict
 }
 
 // ovsCacheMax bounds each EMC shard like the real EMC's fixed size;
@@ -99,11 +87,8 @@ func (s *OVS) Name() string { return "ovs" }
 // every worker's caches (the pipeline pointer swap itself is the
 // invalidation signal; the fresh primary worker starts empty).
 func (s *OVS) Install(p *mat.Pipeline) error {
-	dpOpts := []dataplane.Option{dataplane.WithTelemetry(s.reg)}
-	if s.dec != nil {
-		dpOpts = append(dpOpts, dataplane.WithSchema(s.dec.Schema()))
-	}
-	dp, err := dataplane.Compile(p, dataplane.FixedTemplate(classifier.ForceTupleSpace), dpOpts...)
+	dp, err := dataplane.Compile(p, dataplane.FixedTemplate(classifier.ForceTupleSpace),
+		dataplane.WithTelemetry(s.reg), dataplane.WithSchema(s.dec.Schema()))
 	if err != nil {
 		return fmt.Errorf("ovs: %w", err)
 	}
@@ -115,8 +100,8 @@ func (s *OVS) Install(p *mat.Pipeline) error {
 
 // Update reprograms the dirty stages of the slow path and bumps the
 // revalidation epoch, so every shard's EMC and megaflow cache is flushed
-// before it forwards on the new snapshot. The layer-hit statistics keep
-// counting.
+// — and re-keyed on the new program's match slots — before it forwards on
+// the new snapshot. The layer-hit statistics keep counting.
 func (s *OVS) Update(p *mat.Pipeline, dirty []int) error {
 	dp, err := recompile("ovs", s.slow.Load(), p, dirty)
 	if err != nil {
@@ -127,24 +112,16 @@ func (s *OVS) Update(p *mat.Pipeline, dirty []int) error {
 	return nil
 }
 
-func keyOf(p *packet.Packet) ovsKey {
-	return ovsKey{
-		src: p.IPSrc, dst: p.IPDst,
-		sport: p.SrcPort, dport: p.DstPort,
-		ethType: p.EthType, vlan: p.VLANID,
-		proto: p.Proto, ttl: p.TTL,
-	}
-}
-
-// ovsWorker is one datapath shard: private EMC + megaflow cache, scratch
-// packet, slow-path registers and wildcard trace buffer.
+// ovsWorker is one datapath shard: private EMC + megaflow cache, their
+// key layout, slow-path registers and wildcard trace buffer.
 type ovsWorker struct {
 	parent *OVS
 	slow   *dataplane.Pipeline
 	epoch  uint64
 	ctx    *dataplane.Ctx
 	trace  *dataplane.Trace
-	cache  map[ovsKey]ovsHit
+	key    *flowKey
+	cache  map[string]dataplane.Verdict
 	mega   *megaflowCache
 	// direct is set when the installed program is pre-fused
 	// (mat.Pipeline.Fused): the caches exist to amortize multi-table
@@ -158,9 +135,7 @@ type ovsWorker struct {
 	// call (amortizing the atomic traffic) and on Reset (so a snapshot taken
 	// right after Reset cannot see a late flush's residue).
 	pendHits, pendMega, pendMisses uint64
-	// arena is the shard's frame-decode ring (scratch Packets, or
-	// FieldViews in schema mode — where frames bypass the canonical-field
-	// cache layers entirely).
+	// arena is the shard's frame-decode ring.
 	arena *dataplane.FrameBatch
 	one   [1][]byte
 	vout  [1]dataplane.Verdict
@@ -170,7 +145,7 @@ func (s *OVS) newOVSWorker() *ovsWorker {
 	return &ovsWorker{
 		parent: s,
 		trace:  dataplane.NewTrace(),
-		cache:  make(map[ovsKey]ovsHit, 4096),
+		cache:  make(map[string]dataplane.Verdict, 4096),
 		mega:   newMegaflowCache(),
 		arena:  dataplane.NewFrameBatch(s.dec).Attach(s.reg),
 	}
@@ -185,7 +160,7 @@ func (w *ovsWorker) flush() {
 
 // refresh revalidates the shard: a swapped slow path or a bumped epoch
 // flushes the local caches; a swapped slow path also re-provisions the
-// metadata registers.
+// metadata registers and re-keys the caches on its match slots.
 func (w *ovsWorker) refresh() (*dataplane.Pipeline, error) {
 	slow := w.parent.slow.Load()
 	if slow == nil {
@@ -194,6 +169,7 @@ func (w *ovsWorker) refresh() (*dataplane.Pipeline, error) {
 	if slow != w.slow {
 		w.slow = slow
 		w.ctx = slow.NewCtx()
+		w.key = newFlowKey(slow)
 		w.direct = slow.Fused() != nil
 		w.flush()
 	}
@@ -215,34 +191,33 @@ func (w *ovsWorker) refresh() (*dataplane.Pipeline, error) {
 // or drop), so the model is exact for forwarding workloads;
 // header-rewriting actions are applied only on the slow path. The
 // benchmark workloads (gateway & load balancer) are pure forwarding.
-func (w *ovsWorker) process(slow *dataplane.Pipeline, pkt *packet.Packet) (dataplane.Verdict, error) {
+func (w *ovsWorker) process(slow *dataplane.Pipeline, view *packet.FieldView) (dataplane.Verdict, error) {
 	if w.direct {
 		// Pre-fused program: forward through the decision structure
 		// directly (counted as slow-path traversals — that is literally
 		// what they are; there is no cache layer in front).
 		w.pendMisses++
-		return slow.Process(pkt, w.ctx)
+		return slow.ProcessView(view, w.ctx)
 	}
-	k := keyOf(pkt)
-	if hit, ok := w.cache[k]; ok {
+	k := w.key
+	present := k.read(view)
+	if v, ok := w.cache[string(k.exact(present))]; ok {
 		w.pendHits++
-		return hit.verdict, nil
-	}
-	if v, ok := w.mega.lookup(pkt); ok {
-		w.pendMega++
-		if len(w.cache) < ovsCacheMax {
-			w.cache[k] = ovsHit{verdict: v}
-		}
 		return v, nil
 	}
-	w.pendMisses++
-	v, err := slow.ProcessTraced(pkt, w.ctx, w.trace)
-	if err != nil {
-		return v, err
+	v, ok := w.mega.lookup(k, present)
+	if ok {
+		w.pendMega++
+	} else {
+		w.pendMisses++
+		var err error
+		if v, err = slow.ProcessViewTraced(view, w.ctx, w.trace); err != nil {
+			return v, err
+		}
+		w.mega.insert(k, present, w.trace, v)
 	}
-	w.mega.insert(pkt, w.trace, v)
 	if len(w.cache) < ovsCacheMax {
-		w.cache[k] = ovsHit{verdict: v}
+		w.cache[string(k.exact(present))] = v
 	}
 	return v, nil
 }
@@ -274,12 +249,8 @@ func (w *ovsWorker) ProcessFrame(frame []byte) (dataplane.Verdict, error) {
 }
 
 // ProcessBatch forwards a frame batch with one revalidation check and one
-// statistics flush for the whole batch. Schema mode hands the whole batch
-// to the slow path's wire-ingest entry (the caches cannot key on
-// non-canonical fields; see the OVS.dec doc) — every frame that decodes
-// counts as a slow-path traversal. Default mode decodes through the
-// arena's Packet ring and runs the EMC → megaflow → slow lookup chain per
-// frame.
+// statistics flush for the whole batch: each frame decodes through the
+// arena's view ring and runs the EMC → megaflow → slow lookup chain.
 func (w *ovsWorker) ProcessBatch(frames [][]byte, out []dataplane.Verdict) error {
 	if len(out) < len(frames) {
 		return fmt.Errorf("switches: verdict buffer %d too small for batch of %d", len(out), len(frames))
@@ -289,21 +260,13 @@ func (w *ovsWorker) ProcessBatch(frames [][]byte, out []dataplane.Verdict) error
 		return err
 	}
 	defer w.flushStats()
-	if w.parent.dec != nil {
-		before := w.arena.DropTotal()
-		if err := slow.ProcessFrames(frames, w.arena, out, nil); err != nil {
-			return err
-		}
-		w.pendMisses += uint64(len(frames)) - (w.arena.DropTotal() - before)
-		return nil
-	}
 	for i, f := range frames {
-		pkt, _, err := w.arena.Decode(f)
+		view, err := w.arena.Decode(f)
 		if err != nil {
 			out[i] = dataplane.Verdict{Drop: true}
 			continue
 		}
-		v, err := w.process(slow, pkt)
+		v, err := w.process(slow, view)
 		if err != nil {
 			return err
 		}
@@ -341,14 +304,23 @@ func (s *OVS) ProcessBatch(frames [][]byte, out []dataplane.Verdict) error {
 // cache) for one forwarding goroutine — the model's PMD thread.
 func (s *OVS) NewWorker() Worker { return s.newOVSWorker() }
 
-// Process forwards one packet through the primary shard (single-threaded
-// convenience; the cache inspectors below report this shard's state).
+// Process forwards one default-schema packet through the primary shard
+// (single-threaded convenience; the cache inspectors below report this
+// shard's state). Header rewrites of a slow-path traversal land in pkt.
 func (s *OVS) Process(pkt *packet.Packet) (dataplane.Verdict, error) {
 	slow, err := s.prim.refresh()
 	if err != nil {
 		return dataplane.Verdict{}, err
 	}
-	v, err := s.prim.process(slow, pkt)
+	if s.view == nil {
+		s.view = packet.DefaultDecoder().NewView()
+	}
+	if slow.Schema() != s.view.Schema() {
+		return dataplane.Verdict{}, fmt.Errorf("ovs: Process takes default-schema packets; the model forwards schema %s", slow.Schema().Name)
+	}
+	s.view.LoadPacket(pkt)
+	v, err := s.prim.process(slow, s.view)
+	s.view.StorePacket(pkt)
 	s.prim.flushStats()
 	return v, err
 }

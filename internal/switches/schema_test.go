@@ -121,33 +121,133 @@ func TestSwitchesForwardVXLANSchema(t *testing.T) {
 	}
 }
 
-// TestOVSSchemaModeBypassesCaches checks the honest-modeling contract:
-// in schema mode every frame is a slow-path traversal — the EMC and
-// megaflow layers cannot key on non-canonical fields.
-func TestOVSSchemaModeBypassesCaches(t *testing.T) {
-	dec, err := packet.BuiltinDecoder(packet.SchemaVXLAN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewOVS(WithSchema(dec))
-	if err := s.Install(vxlanTenantPipeline(t, dec, 4)); err != nil {
-		t.Fatal(err)
-	}
-	f := vxlanFrame(t, dec, 1001)
-	const n = 50
-	for i := 0; i < n; i++ {
-		if _, err := s.ProcessFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if misses, _ := st.Counter("slow_misses"); misses != n {
-		t.Fatalf("slow_misses = %d, want %d (schema mode must bypass caches)", misses, n)
-	}
-	emc, _ := st.Counter("emc_hits")
-	mega, _ := st.Counter("megaflow_hits")
-	if emc != 0 || mega != 0 {
-		t.Fatalf("cache hits in schema mode: emc=%d megaflow=%d", emc, mega)
+// cacheChains lists, per generic shipped schema, a full header chain with
+// the select values that steer a frame down it, the field the test
+// program keys on, and a field an Update starts matching.
+var cacheChains = []struct {
+	schema   string
+	headers  []string
+	selects  map[string]uint64
+	key, add string
+}{
+	{packet.SchemaVXLAN, []string{"eth", "ipv4", "udp", "vxlan", "inner_eth"},
+		map[string]uint64{"eth_type": packet.EtherTypeIPv4, "ip_proto": packet.ProtoUDP, "udp_dst": packet.UDPPortVXLAN},
+		packet.FieldVXLANVNI, packet.FieldInnerEthDst},
+	{packet.SchemaMPLS, []string{"eth", "mpls", "ipv4"},
+		map[string]uint64{"eth_type": packet.EtherTypeMPLS, packet.FieldMPLSBoS: 1},
+		packet.FieldMPLSLabel, "ip_dst"},
+	{packet.SchemaGTPU, []string{"eth", "ipv4", "udp", "gtpu", "inner_ipv4"},
+		map[string]uint64{"eth_type": packet.EtherTypeIPv4, "ip_proto": packet.ProtoUDP, "udp_dst": packet.UDPPortGTPU, "gtpu_type": packet.GTPMsgGPDU},
+		packet.FieldGTPUTEID, packet.FieldInnerIPDst},
+}
+
+// TestOVSCachesOnEverySchema: the OVS cache hierarchy keys on the
+// installed program's match slots, so it works on every schema. On a warm
+// second pass only the distinct flows have taken the slow path, and the
+// verdicts equal the cold pass and the slow pipeline's own ProcessFrames.
+// An Update whose program matches a new field re-keys the shard: a frame
+// differing only in that field then misses.
+func TestOVSCachesOnEverySchema(t *testing.T) {
+	for _, c := range cacheChains {
+		t.Run(c.schema, func(t *testing.T) {
+			dec, err := packet.BuiltinDecoder(c.schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := func(key, add, noise uint64) []byte {
+				v := dec.NewView()
+				for _, h := range c.headers {
+					v.MarkPresentName(h)
+				}
+				for f, x := range c.selects {
+					v.SetName(f, x)
+				}
+				v.SetName(c.key, key)
+				v.SetName(c.add, add)
+				v.SetName("eth_src", noise) // matched by no stage
+				return v.Marshal(nil)
+			}
+			b := packet.NewBinder(dec.Schema())
+			table := func(field string, entries ...[2]uint64) *mat.Table {
+				tab := mat.New(field, append(b.Columns(field), mat.Attr{Name: "out", Kind: mat.Action, Width: 16}))
+				tab.Provenance = c.schema
+				for _, e := range entries {
+					tab.Add(mat.Exact(e[0], b.Width(field)), mat.Exact(e[1], 16))
+				}
+				return tab
+			}
+			// Stage 0 forwards four keys; stage 1 — a placeholder over the
+			// same key until the Update — may override the port.
+			prog := func(stage1 *mat.Table) *mat.Pipeline {
+				return &mat.Pipeline{Name: "cache", Start: 0, Stages: []mat.Stage{
+					{Table: table(c.key, [2]uint64{1000, 10}, [2]uint64{1001, 11}, [2]uint64{1002, 12}, [2]uint64{1003, 13}), Next: 1, MissDrop: true},
+					{Table: stage1, Next: -1},
+				}}
+			}
+			p := prog(table(c.key))
+
+			// Five distinct flows (four forwarded keys, one unknown), each
+			// sent three times with a different value in an unmatched field.
+			var frames [][]byte
+			for noise := uint64(0); noise < 3; noise++ {
+				for _, key := range []uint64{1000, 1001, 1002, 1003, 9999} {
+					frames = append(frames, frame(key, 7, noise))
+				}
+			}
+			const flows = 5
+
+			s := NewOVS(WithSchema(dec))
+			if err := s.Install(p); err != nil {
+				t.Fatal(err)
+			}
+			w := s.NewWorker()
+			cold := make([]dataplane.Verdict, len(frames))
+			warm := make([]dataplane.Verdict, len(frames))
+			if err := w.ProcessBatch(frames, cold); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.ProcessBatch(frames, warm); err != nil {
+				t.Fatal(err)
+			}
+			dp, err := dataplane.Compile(p, dataplane.AutoTemplates, dataplane.WithSchema(dec.Schema()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow := make([]dataplane.Verdict, len(frames))
+			if err := dp.ProcessFrames(frames, dataplane.NewFrameBatch(dec), slow, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := range frames {
+				if cold[i].Drop != slow[i].Drop || cold[i].Port != slow[i].Port ||
+					warm[i].Drop != slow[i].Drop || warm[i].Port != slow[i].Port {
+					t.Fatalf("frame %d: cold %+v, warm %+v, slow path %+v", i, cold[i], warm[i], slow[i])
+				}
+			}
+			st := s.Stats()
+			if misses, _ := st.Counter("slow_misses"); misses != flows {
+				t.Fatalf("slow_misses = %d after a cold and a warm pass, want %d distinct flows", misses, flows)
+			}
+			if emc, _ := st.Counter("emc_hits"); emc != uint64(2*len(frames)-flows) {
+				t.Fatalf("emc_hits = %d, want %d", emc, 2*len(frames)-flows)
+			}
+
+			// The Update makes stage 1 match c.add: frames that shared a
+			// flow on the old key layout now differ.
+			if err := s.Update(prog(table(c.add, [2]uint64{8, 99})), []int{1}); err != nil {
+				t.Fatal(err)
+			}
+			pair := [][]byte{frame(1000, 7, 0), frame(1000, 8, 0)}
+			out := make([]dataplane.Verdict, 2)
+			if err := w.ProcessBatch(pair, out); err != nil {
+				t.Fatal(err)
+			}
+			if out[0].Port != 10 || out[1].Port != 99 {
+				t.Fatalf("after the Update: ports %d, %d, want 10, 99", out[0].Port, out[1].Port)
+			}
+			if misses, _ := s.Stats().Counter("slow_misses"); misses != flows+2 {
+				t.Fatalf("slow_misses = %d after the Update, want %d: the new field must split the flow", misses, flows+2)
+			}
+		})
 	}
 }
 

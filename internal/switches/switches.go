@@ -51,17 +51,16 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *modelCfg) { c.reg = reg }
 }
 
-// WithSchema puts the model in schema-driven mode: frames are parsed by
-// the given compiled parse-graph decoder into per-worker FieldViews, and
-// Install compiles pipelines against the decoder's header schema
+// WithSchema sets the header schema the model forwards: frames are parsed
+// by the given compiled parse-graph decoder into per-worker FieldViews,
+// and Install compiles pipelines against the decoder's header schema
 // (dataplane.WithSchema), so programs may match any field the schema
 // defines — VXLAN VNIs, MPLS labels, GTP-U TEIDs or fuzzer-invented
-// stacks. A nil decoder keeps the fixed default Packet fast path.
+// stacks. Without this option, or with a nil decoder, the model forwards
+// the default schema (packet.DefaultDecoder).
 //
-// OVS note: the EMC key and megaflow cache are hardwired to the
-// canonical header fields, so in schema mode the OVS model forwards
-// every frame through its slow path (the honest equivalent of a
-// datapath whose cache does not understand the custom protocol).
+// OVS keys its caches on the slots the installed program matches, so its
+// cache hierarchy works the same on every schema.
 func WithSchema(dec *packet.Decoder) Option {
 	return func(c *modelCfg) { c.dec = dec }
 }
@@ -71,6 +70,9 @@ func buildCfg(opts []Option) modelCfg {
 	for _, o := range opts {
 		o(&c)
 	}
+	if c.dec == nil {
+		c.dec = packet.DefaultDecoder()
+	}
 	return c
 }
 
@@ -79,7 +81,7 @@ func buildCfg(opts []Option) modelCfg {
 //
 // Concurrency contract: ProcessFrame, ProcessBatch and ApplyMods are safe
 // to call from any number of goroutines — every mutable per-packet
-// structure (scratch packets, metadata registers, flow caches) is sharded
+// structure (decode rings, metadata registers, flow caches) is sharded
 // per worker, and shared statistics are atomic. The packet-level Process
 // and the state inspectors (CacheSize, Templates, ...) remain
 // single-threaded conveniences. Install must not race with forwarding on
@@ -101,9 +103,10 @@ type Switch interface {
 	// (mat.Pipeline.Fused) are install-time-only: Update recompiles them
 	// whole.
 	Update(p *mat.Pipeline, dirty []int) error
-	// Process forwards one packet. For software models this performs the
-	// real classification work that the benchmarks time. Single-threaded;
-	// parallel drivers go through ProcessFrame/ProcessBatch or NewWorker.
+	// Process forwards one default-schema packet: an adapter that loads
+	// it into a FieldView and runs the model's view path on it (header
+	// rewrites land in pkt where the model applies them). Single-threaded;
+	// forwarding callers go through ProcessFrame/ProcessBatch or NewWorker.
 	Process(pkt *packet.Packet) (dataplane.Verdict, error)
 	// ProcessFrame forwards one wire-format frame: header parsing
 	// (including IPv4 checksum verification) plus Process — the
@@ -173,7 +176,7 @@ var (
 )
 
 // Worker is a per-goroutine forwarding context of one switch: its own
-// scratch packet, metadata registers and (for cache-based models) flow
+// decode ring, metadata registers and (for cache-based models) flow
 // cache shard. Workers observe the parent switch's Install/ApplyMods via
 // cheap per-frame epoch checks.
 type Worker interface {
@@ -185,10 +188,9 @@ type Worker interface {
 
 // dpWorker is the worker of the datapath-driven models (ESwitch, Lagopus,
 // NoviFlow): a frame-decode arena over the shared installed pipeline. All
-// per-worker mutable state — the decode ring (scratch Packets or
-// FieldViews in schema mode) and the pipeline scratch Ctx — lives in the
-// arena; reinstalls surface as a pipeline pointer change that
-// ProcessFrames absorbs on the next batch.
+// per-worker mutable state — the FieldView ring and the pipeline scratch
+// Ctx — lives in the arena; reinstalls surface as a pipeline pointer
+// change that ProcessFrames absorbs on the next batch.
 type dpWorker struct {
 	src   *atomic.Pointer[dataplane.Pipeline]
 	arena *dataplane.FrameBatch
@@ -199,17 +201,15 @@ type dpWorker struct {
 	vout [1]dataplane.Verdict
 }
 
-// liftOpts models the Lagopus-style generic record construction per
+// liftRecord models the Lagopus-style generic record construction per
 // packet (the interpreter's per-packet metadata overhead): a record is
 // built and discarded before every traversal, and a packet that yields no
-// record drops. Stateless, so all lift workers share it.
-var liftOpts = dataplane.NewProcessOpts(dataplane.WithDecodeHook(
-	func(pkt *packet.Packet, view *packet.FieldView) bool {
-		if view != nil {
-			return len(view.Record()) > 0
-		}
-		return len(pkt.Record()) > 0
-	}))
+// record drops.
+func liftRecord(view *packet.FieldView) bool { return len(view.Record()) > 0 }
+
+// liftOpts runs liftRecord on every decoded frame. Stateless, so all lift
+// workers share it.
+var liftOpts = dataplane.NewProcessOpts(dataplane.WithDecodeHook(liftRecord))
 
 // ProcessFrame forwards one frame as a single-frame batch.
 func (w *dpWorker) ProcessFrame(frame []byte) (dataplane.Verdict, error) {
@@ -238,14 +238,14 @@ type dpSwitch struct {
 	dp   atomic.Pointer[dataplane.Pipeline]
 	pool sync.Pool
 	lift bool
-	// ctx backs the models' single-threaded packet-level Process
-	// convenience; it is re-provisioned with every published snapshot.
-	ctx *dataplane.Ctx
+	// ctx and view back the single-threaded packet-level Process; ctx is
+	// re-provisioned with every published snapshot.
+	ctx  *dataplane.Ctx
+	view *packet.FieldView
 	// reg is the optional metrics registry (WithTelemetry); Install passes
 	// it to dataplane.Compile so per-stage instruments register there.
 	reg *telemetry.Registry
-	// dec is the schema-mode decoder (WithSchema); nil for the default
-	// Packet path.
+	// dec is the decoder of the schema the model forwards (WithSchema).
 	dec *packet.Decoder
 }
 
@@ -258,11 +258,28 @@ func (s *dpSwitch) applyCfg(cfg modelCfg) {
 // dpOpts builds the dataplane compile options matching the model's
 // configuration.
 func (s *dpSwitch) dpOpts() []dataplane.Option {
-	opts := []dataplane.Option{dataplane.WithTelemetry(s.reg)}
-	if s.dec != nil {
-		opts = append(opts, dataplane.WithSchema(s.dec.Schema()))
+	return []dataplane.Option{dataplane.WithTelemetry(s.reg), dataplane.WithSchema(s.dec.Schema())}
+}
+
+// Process forwards one default-schema packet through the installed
+// pipeline — the one packet-level adapter of the datapath-driven models,
+// with Lagopus's record lift applied as on its frame path. Header
+// rewrites land in pkt.
+func (s *dpSwitch) Process(pkt *packet.Packet) (dataplane.Verdict, error) {
+	dp := s.dp.Load()
+	if dp == nil {
+		return dataplane.Verdict{}, errNotProgrammed
 	}
-	return opts
+	if s.view == nil {
+		s.view = packet.DefaultDecoder().NewView()
+	}
+	s.view.LoadPacket(pkt)
+	if s.lift && !liftRecord(s.view) {
+		return dataplane.Verdict{Drop: true}, nil
+	}
+	v, err := dp.ProcessView(s.view, s.ctx)
+	s.view.StorePacket(pkt)
+	return v, err
 }
 
 // install compiles p from scratch with the model's template selector and
