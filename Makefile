@@ -44,12 +44,15 @@ race:
 # record, same error, on every probe. The last fuzzes the default
 # schema's decoder — the one every default-schema frame is forwarded
 # through — against the hand-written Packet codec: same accept/reject
-# reason, presence, fields, payload and unknown-next verdict.
+# reason, presence, fields, payload and unknown-next verdict. The fifth
+# fuzzes the fused template's flat decision diagram (classifier.FDD)
+# against ordered first-match over the same rules.
 fuzz-smoke:
 	$(GO) run ./cmd/mafuzz -seed 1 -duration 30s
 	$(GO) run ./cmd/mafuzz -seed 1 -duration 30s -schema-fuzz
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzEvaluatorMatchesEval -fuzztime 15s
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzDefaultDecoderMatchesCodec -fuzztime 15s
+	$(GO) test ./internal/classifier -run '^$$' -fuzz FuzzFDDMatchesFirstMatch -fuzztime 15s
 
 fuzz-replay:
 	$(GO) run ./cmd/mafuzz -replay -corpus internal/difftest/testdata/corpus

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"manorm/internal/mat"
+	"manorm/internal/trafficgen"
+	"manorm/internal/usecases"
 )
 
 // seedTernary replicates the pre-compiled ternary scan this repository
@@ -107,4 +109,35 @@ func BenchmarkLPMLookup(b *testing.B) {
 		b.Fatal(err)
 	}
 	lookupBench(b, c, tab)
+}
+
+// BenchmarkFDDLookupGateway10k times the fused 250 x 40 gateway — the
+// benchmark's scale program, 10 251 rules — on 131 072 keys taken in trace
+// order from gateway traffic with 5% misses, so the diagram is read with
+// the scale workload's locality:
+//
+//	go test ./internal/classifier -run '^$' -bench FDDLookupGateway10k -cpuprofile fdd.prof
+func BenchmarkFDDLookupGateway10k(b *testing.B) {
+	const flows = 131072
+	g := usecases.Generate(250, 40, 1)
+	tab := fusedGateway(b, g)
+	c, err := NewFDD(tab)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fields := tab.Schema.Fields()
+	keys := make([]uint64, 0, flows*len(fields))
+	for _, p := range trafficgen.GwLB(g, flows, 0.95, 1).Packets() {
+		for _, f := range fields {
+			v, _ := p.Field(tab.Schema[f].Name)
+			keys = append(keys, v)
+		}
+	}
+	n := len(fields)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % flows * n
+		c.Lookup(keys[k : k+n])
+	}
 }

@@ -1,7 +1,15 @@
 // Package classifier implements the packet-classifier templates a
 // match-action table can be compiled to: exact-match hashing, single-field
-// longest-prefix matching, priority-ordered ternary linear search, and
-// OVS-style tuple-space search.
+// longest-prefix matching, priority-ordered ternary linear search,
+// OVS-style tuple-space search, and the first-match decision diagram
+// (FDD) that pipeline fusion lowers to.
+//
+// The FDD is laid out for the cache, not for the builder: its nodes are
+// fixed 24-byte records in one slice linked by int32 indices, answers are
+// encoded inline in the child references, dense, prefix-expansion, scan
+// and trie payloads live in one shared slab per kind, and identical
+// sub-diagrams are hash-consed into one node — so a fused 10 000-rule
+// gateway is a 501-node diagram a lookup crosses in three dispatches.
 //
 // The template a table can use is decided by the *shape* of its match
 // columns — and that shape is exactly what normalization changes. A

@@ -70,10 +70,12 @@ type Table struct {
 	counters []atomic.Uint64
 	// Template records which classifier template the table compiled to.
 	Template string
-	// Fused-table metadata (nil on interpreted tables): per entry, the
-	// logical depth of the source path and the reconstructed witness
-	// stages (see CompileFused).
-	fusedTables []int32
+	// Fused-table state, in place of acts and gotos (nil on interpreted
+	// tables): per entry, the packed verdict record and the reconstructed
+	// witness stages, plus the view-mutating actions the records index
+	// (see CompileFused).
+	fusedRules  []fusedRule
+	fusedActs   []Action
 	fusedStages [][]telemetry.TraceStage
 }
 
@@ -589,17 +591,23 @@ func (p *Pipeline) process(view *packet.FieldView, ctx *Ctx, tr *Trace, wit *tel
 			}
 		}
 		t.counters[ei].Add(1)
+		if t.fusedRules != nil {
+			// A fused hit reports the logical depth of the fused-away path
+			// and replays its pre-rendered logical witness, so the
+			// Theorem-1 check sees the same per-table trace the
+			// interpreted pipeline would produce.
+			v = t.fusedHit(ei, view)
+			if wit != nil {
+				wit.Stages = append(wit.Stages, t.fusedStages[ei]...)
+			}
+			return p.finish(v, wit, t0), nil
+		}
 		if wit != nil {
 			st.Entry = ei
 		}
-		if t.fusedTables != nil {
-			// Report the logical depth of the fused-away path, not the
-			// single physical lookup.
-			v.Tables += int(t.fusedTables[ei]) - 1
-		}
 		setsMeta := false
 		for _, a := range t.acts[ei] {
-			if wit != nil && t.fusedStages == nil {
+			if wit != nil {
 				st.Actions = append(st.Actions, renderAction(a, p.schema))
 			}
 			switch a.Kind {
@@ -617,13 +625,6 @@ func (p *Pipeline) process(view *packet.FieldView, ctx *Ctx, tr *Trace, wit *tel
 			case ActDrop:
 				v.Drop = true
 			}
-		}
-		if wit != nil && t.fusedStages != nil {
-			// A fused hit replays the pre-rendered logical witness of the
-			// fused-away path, so the Theorem-1 check sees the same
-			// per-table trace the interpreted pipeline would produce.
-			wit.Stages = append(wit.Stages, t.fusedStages[ei]...)
-			return p.finish(v, wit, t0), nil
 		}
 		if v.Drop {
 			if wit != nil {

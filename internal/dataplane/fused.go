@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -24,6 +25,12 @@ import (
 // reports the depth of the fused-away path and ProcessExplain replays the
 // reconstructed per-table witness, so the runtime Theorem-1 equivalence
 // check compares fused and interpreted runs stage by stage.
+//
+// Each fused rule's outcome is precomputed into one packed verdict record
+// (fusedRule): the logical depth, the output port and the drop flag, plus
+// the span of its view-mutating actions (dec_ttl, set_field) in one
+// slab shared by all rules. Both the fused hot loop and the general
+// loop read that record and nothing else of the rule's actions.
 //
 // Megaflow traces of fused entries claim the full width of every consulted
 // column. Per-rule prefix masks would be unsound here: fused rules
@@ -55,7 +62,7 @@ func CompileFused(p *mat.Pipeline, opts ...Option) (*Pipeline, error) {
 		missDrop:    true,
 		counters:    make([]atomic.Uint64, len(prog.Rules)),
 		Template:    cls.Template(),
-		fusedTables: make([]int32, len(prog.Rules)),
+		fusedRules:  make([]fusedRule, len(prog.Rules)),
 		fusedStages: make([][]telemetry.TraceStage, len(prog.Rules)),
 	}
 	for _, c := range prog.Cols {
@@ -70,19 +77,12 @@ func CompileFused(p *mat.Pipeline, opts ...Option) (*Pipeline, error) {
 		fullPlens[i] = c.Width
 	}
 	for ri, r := range prog.Rules {
-		var acts []Action
-		for _, a := range r.Acts {
-			if la := lowerFusedAct(a, binder); la.Kind != actNone {
-				acts = append(acts, la)
-			}
-		}
-		if r.Drop {
-			acts = append(acts, Action{Kind: ActDrop})
-		}
-		ct.acts = append(ct.acts, acts)
-		ct.gotos = append(ct.gotos, -1)
 		ct.plens = append(ct.plens, fullPlens)
-		ct.fusedTables[ri] = int32(r.Tables())
+		rec, err := packVerdict(r, binder, &ct.fusedActs)
+		if err != nil {
+			return nil, fmt.Errorf("dataplane: fused %s rule %d: %w", p.Name, ri, err)
+		}
+		ct.fusedRules[ri] = rec
 		ct.fusedStages[ri] = fusedWitnessStages(r, metaIdx, binder)
 	}
 
@@ -109,12 +109,45 @@ func CompileFused(p *mat.Pipeline, opts ...Option) (*Pipeline, error) {
 	return out, nil
 }
 
+// fusedRule is the packed verdict record of one fused rule: what a hit
+// reports (logical depth, port, drop) and the span [off, off+n) of the
+// rule's view-mutating actions in Table.fusedActs.
+type fusedRule struct {
+	off    uint32
+	n      uint16
+	tables uint16
+	port   uint16
+	drop   bool
+}
+
+// packVerdict lowers one fused rule into its verdict record, appending
+// its view-mutating actions to *slab in order. As in the general loop,
+// the last output wins.
+func packVerdict(r fdd.Rule, binder *packet.Binder, slab *[]Action) (fusedRule, error) {
+	off := len(*slab)
+	rec := fusedRule{drop: r.Drop}
+	for _, a := range r.Acts {
+		switch la := lowerFusedAct(a, binder); la.Kind {
+		case ActOutput:
+			rec.port = uint16(la.Value)
+		case ActDecTTL, ActSetField:
+			*slab = append(*slab, la)
+		}
+	}
+	n := len(*slab) - off
+	if r.Tables() > math.MaxUint16 || n > math.MaxUint16 || len(*slab) > math.MaxUint32 {
+		return rec, fmt.Errorf("verdict record overflow: %d tables, %d rewrites", r.Tables(), n)
+	}
+	rec.off, rec.n, rec.tables = uint32(off), uint16(n), uint16(r.Tables())
+	return rec, nil
+}
+
 // processFusedView is the fused hot path: the general stage loop
 // specialized for exactly one table with no metadata registers, no goto
-// dispatch and drop-on-miss, and with the decision-structure lookup
-// devirtualized. It must stay verdict-identical to process() on the same
-// fused table (the traced and ProcessExplain paths still run the general
-// machinery).
+// dispatch and drop-on-miss, and with the decision-diagram lookup
+// devirtualized. A hit reads the rule's packed verdict record and runs
+// only its view-mutating actions (fusedHit, which the traced and
+// ProcessExplain paths through process() share).
 func (p *Pipeline) processFusedView(view *packet.FieldView, ctx *Ctx) (Verdict, error) {
 	var t0 time.Time
 	if p.tel != nil {
@@ -135,38 +168,36 @@ func (p *Pipeline) processFusedView(view *packet.FieldView, ctx *Ctx) (Verdict, 
 	if ok {
 		ei = p.fusedFDD.Lookup(key)
 	}
-	v := Verdict{Tables: 1}
 	if ei < 0 {
-		v.Drop = true
 		if p.tel != nil {
 			p.tel.stages[0].misses.Inc()
 			p.tel.procNs.Observe(float64(time.Since(t0)))
 		}
-		return v, nil
+		return Verdict{Drop: true, Tables: 1}, nil
 	}
 	if p.tel != nil {
 		p.tel.stages[0].matches.Inc()
 	}
 	t.counters[ei].Add(1)
-	v.Tables = int(t.fusedTables[ei])
-	for _, a := range t.acts[ei] {
-		switch a.Kind {
-		case ActOutput:
-			v.Port = uint16(a.Value)
-		case ActDecTTL:
-			if ttl, tok := view.Get(a.Slot); tok && ttl > 0 {
-				view.Set(a.Slot, ttl-1)
-			}
-		case ActSetField:
-			view.Set(a.Slot, a.Value)
-		case ActDrop:
-			v.Drop = true
-		}
-	}
+	v := t.fusedHit(ei, view)
 	if p.tel != nil {
 		p.tel.procNs.Observe(float64(time.Since(t0)))
 	}
 	return v, nil
+}
+
+// fusedHit runs fused entry ei's view-mutating actions in order and
+// returns the verdict its record holds.
+func (t *Table) fusedHit(ei int, view *packet.FieldView) Verdict {
+	r := &t.fusedRules[ei]
+	for _, a := range t.fusedActs[r.off : r.off+uint32(r.n)] {
+		if a.Kind == ActSetField {
+			view.Set(a.Slot, a.Value)
+		} else if ttl, ok := view.Get(a.Slot); ok && ttl > 0 { // ActDecTTL
+			view.Set(a.Slot, ttl-1)
+		}
+	}
+	return Verdict{Drop: r.drop, Port: r.port, Tables: int(r.tables)}
 }
 
 // FusedStats describes a compiled fused stage for stats readers.
@@ -180,7 +211,7 @@ type FusedStats struct {
 // Fused returns the decision-structure statistics when the pipeline was
 // compiled by CompileFused, else nil.
 func (p *Pipeline) Fused() *FusedStats {
-	if len(p.tables) != 1 || p.tables[0].fusedTables == nil {
+	if len(p.tables) != 1 || p.tables[0].fusedRules == nil {
 		return nil
 	}
 	c, ok := p.tables[0].cls.(*classifier.FDD)

@@ -101,6 +101,50 @@ func TestFusedProcessMatchesExplain(t *testing.T) {
 	}
 }
 
+// A fused hit's packed verdict record must reproduce what the general
+// loop computes from the rule's actions: the last output, the drop flag,
+// and the view-mutating actions in order.
+func TestFusedVerdictRecords(t *testing.T) {
+	tab := mat.New("rw", mat.Schema{
+		mat.F(packet.FieldIPDst, 32), mat.A("mod_ttl", 8), mat.A("mod_"+packet.FieldIPSrc, 32), mat.A("out", 16),
+	})
+	tab.Add(mat.Exact(1, 32), mat.Exact(1, 8), mat.Exact(7, 32), mat.Exact(3, 16))
+	tab.Add(mat.Exact(2, 32), mat.Any(), mat.Exact(9, 32), mat.Exact(4, 16))
+	tab.Add(mat.Exact(3, 32), mat.Exact(1, 8), mat.Any(), mat.Any())
+	p := &mat.Pipeline{Name: "rw", Stages: []mat.Stage{{Table: tab, Next: -1, MissDrop: true}}}
+	fused, err := CompileFused(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interp, err := Compile(p, AutoTemplates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, c2, c3 := fused.NewCtx(), fused.NewCtx(), interp.NewCtx()
+	for dst := uint32(0); dst <= 4; dst++ {
+		pkt := packet.TCP4(0x00aa, 0x00bb, 0x0A000001, dst, 1234, 80)
+		p1, p2, p3 := *pkt, *pkt, *pkt
+		v1, err := fused.Process(&p1, c1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, _, err := fused.ProcessExplain(&p2, c2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v3, err := interp.Process(&p3, c3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v1 != v2 || v1 != v3 || !reflect.DeepEqual(p1.Record(), p2.Record()) || !reflect.DeepEqual(p1.Record(), p3.Record()) {
+			t.Fatalf("ip_dst %d: fused %+v %v, explain %+v %v, interpreted %+v %v", dst, v1, p1.Record(), v2, p2.Record(), v3, p3.Record())
+		}
+		if dst == 1 && (v1.Port != 3 || p1.IPSrc != 7 || p1.TTL != pkt.TTL-1) {
+			t.Fatalf("ip_dst 1: verdict %+v, ip_src %d, ttl %d", v1, p1.IPSrc, p1.TTL)
+		}
+	}
+}
+
 // The fused hot path must not allocate with telemetry detached.
 func TestFusedProcessZeroAlloc(t *testing.T) {
 	g := usecases.Generate(20, 8, 42)
