@@ -1,8 +1,7 @@
 GO ?= go
 
-.PHONY: build test lint race check fuzz-smoke fuzz-replay confluence-smoke \
-	incremental-smoke fabric-smoke soak-smoke bench-smoke leftovers bench \
-	profile quickstart
+.PHONY: build test lint race check fuzz-smoke fuzz-replay fabric-smoke \
+	soak-smoke bench-smoke leftovers bench profile quickstart
 
 build:
 	$(GO) build ./...
@@ -28,56 +27,39 @@ race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -count=10 -run TestForwardDuringCommits ./internal/openflow
 
-# fuzz-smoke is the CI slice of the differential fuzzer: a fixed-seed,
-# time-boxed run that must finish with zero divergences (the executor
-# matrix includes the fused twins, so fusion is smoke-checked here too),
-# followed by the same budget in schema mode — every seed invents a
-# fresh header schema and parse graph and replays raw frames through the
-# programmable decoder. fuzz-replay re-executes every committed
-# reproducer (schema-mode ones carry their parse graph in the JSON);
-# each must still diverge with its recorded kind, so known caveats —
-# including the fused-path rematch hazard and its schema-mode twin —
-# stay detected, and a reproducer of a fixed bug (kind "fixed") must
-# replay with no divergence at all. The third line fuzzes the indexed
-# evaluator (mat.Evaluator) against the definition of the semantics
-# (mat.Pipeline.Eval) on coverage-guided random pipelines: same output
-# record, same error, on every probe. The last fuzzes the default
-# schema's decoder — the one every default-schema frame is forwarded
-# through — against the hand-written Packet codec: same accept/reject
-# reason, presence, fields, payload and unknown-next verdict. The fifth
-# fuzzes the fused template's flat decision diagram (classifier.FDD)
-# against ordered first-match over the same rules.
+# fuzz-smoke is the CI slice of the differential fuzzer. Its first line
+# checks every property of the difftest registry (`mafuzz -h` lists them)
+# from seed 1, each input shape for its own budget: 30 s of generated
+# programs (every representation and its fused twin on every model,
+# against the relational semantics, the NetKAT oracle, the witnesses and
+# the counters), 30 s of schema programs (an invented header schema and
+# parse graph per seed, raw frames through the compiled decoder), 250
+# concurrent flow-mod batch pairs (the confluence verifier against
+# brute-force interleaving; genuinely racing pairs are counted, not
+# failed) and 20 s of update streams (incremental barrier commits against
+# a from-scratch check and Install on every model). Any divergence fails
+# the run and writes a shrunk reproducer. The third line fuzzes the
+# indexed evaluator (mat.Evaluator) against the definition of the
+# semantics (mat.Pipeline.Eval) on coverage-guided random pipelines: same
+# output record, same error, on every probe. The fourth fuzzes the
+# default schema's decoder — the one every default-schema frame is
+# forwarded through — against the hand-written Packet codec: same
+# accept/reject reason, presence, fields, payload and unknown-next
+# verdict. The fifth fuzzes the fused template's flat decision diagram
+# (classifier.FDD) against ordered first-match over the same rules.
+#
+# fuzz-replay re-runs every committed reproducer's property on its input:
+# each must still show the divergence kind it records (the Fig. 3 caveat,
+# the rematch hazard and its schema twin, the racing flow-mod pair), and a
+# reproducer of a fixed bug (kind "fixed") must show none at all.
 fuzz-smoke:
-	$(GO) run ./cmd/mafuzz -seed 1 -duration 30s
-	$(GO) run ./cmd/mafuzz -seed 1 -duration 30s -schema-fuzz
+	$(GO) run ./cmd/mafuzz -props all -seed 1
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzEvaluatorMatchesEval -fuzztime 15s
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzDefaultDecoderMatchesCodec -fuzztime 15s
 	$(GO) test ./internal/classifier -run '^$$' -fuzz FuzzFDDMatchesFirstMatch -fuzztime 15s
 
 fuzz-replay:
 	$(GO) run ./cmd/mafuzz -replay -corpus internal/difftest/testdata/corpus
-
-# confluence-smoke difftests the semantic confluence verifier
-# (internal/confluence): 250 seeded concurrent flow-mod batch pairs,
-# each checked by the verifier AND by brute-force interleaving against
-# the relational/NetKAT oracle — any disagreement (a false-commute
-# verdict either way) fails the run and writes a shrunk reproducer.
-# Committed confluence counterexamples replay through the ordinary
-# fuzz-replay stage above: the corpus loader routes files carrying
-# "batches" into the confluence executor, and each must still diverge
-# with its recorded kind.
-confluence-smoke:
-	$(GO) run ./cmd/mafuzz -confluence-fuzz -seed 1 -iters 250
-
-# incremental-smoke difftests the O(delta) barrier commit against its
-# from-scratch reference: seeded programs in their universal, metadata
-# and goto forms sit behind an agent on every switch model and take
-# add/modify/delete batches (some the agent must reject); after every
-# barrier the commit's verdict must be the full check's, and the
-# incrementally updated switch must forward, and report its shape,
-# exactly like a twin freshly installed with the committed state.
-incremental-smoke:
-	$(GO) run ./cmd/mafuzz -incremental-fuzz -seed 1 -duration 20s
 
 # fabric-smoke drives the multi-switch fabric through the headline fault
 # schedule (1% loss, a forced mid-frame cut, a partition every third
@@ -120,7 +102,7 @@ leftovers:
 
 # check is the single gate CI runs — .github/workflows/ci.yml calls
 # exactly this target, so a green `make check` locally is a green build.
-check: lint build test race fuzz-smoke fuzz-replay confluence-smoke incremental-smoke fabric-smoke soak-smoke bench-smoke leftovers
+check: lint build test race fuzz-smoke fuzz-replay fabric-smoke soak-smoke bench-smoke leftovers
 
 bench:
 	$(GO) test -p 1 -bench=. -benchmem ./...

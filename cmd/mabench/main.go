@@ -19,7 +19,7 @@
 // N prints paired per-packet pipeline witnesses (universal vs goto) after
 // the experiments, failing on any verdict disagreement; -metrics-addr
 // serves net/http/pprof during the run; -cpuprofile captures a CPU profile
-// (`make profile`). The shared -json and -schema flags have no effect here.
+// (`make profile`).
 package main
 
 import (
@@ -47,7 +47,7 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this `file` (see make profile)")
 		duration   = flag.Duration("duration", 0, "soak experiment length (0 keeps the 60s default)")
 	)
-	obs := cliflags.Register(flag.CommandLine)
+	obs := cliflags.RegisterObservability(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
 

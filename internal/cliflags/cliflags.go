@@ -1,9 +1,10 @@
 // Package cliflags defines the flag set shared by the repository's
 // commands (maswitch, mabench, manorm): the metrics/pprof endpoint
-// address, the per-packet witness sampling rate, the machine-readable
-// output toggle, and the header-schema selector for the programmable
-// parser. Registering them through one package keeps the flag names and
-// help text identical across binaries.
+// address and the per-packet witness sampling rate (every command), plus
+// the machine-readable output toggle and the header-schema selector for
+// the programmable parser (maswitch and manorm). Registering them through
+// one package keeps the flag names and help text identical across
+// binaries.
 package cliflags
 
 import (
@@ -33,15 +34,22 @@ type Flags struct {
 // Register adds the shared flags to fs (use flag.CommandLine in main) and
 // returns the struct they parse into.
 func Register(fs *flag.FlagSet) *Flags {
+	f := RegisterObservability(fs)
+	fs.BoolVar(&f.JSON, "json", false, "machine-readable JSON output")
+	fs.StringVar(&f.Schema, "schema", "",
+		fmt.Sprintf("header schema for the programmable parser: %s (empty: canonical default)",
+			strings.Join(packet.BuiltinSchemaNames(), ", ")))
+	return f
+}
+
+// RegisterObservability adds only -metrics-addr and -trace-sample, for a
+// command that has no JSON output and runs no chosen schema.
+func RegisterObservability(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "",
 		"serve telemetry JSON and pprof on this address (e.g. 127.0.0.1:9090)")
 	fs.IntVar(&f.TraceSample, "trace-sample", 0,
 		"record a per-packet pipeline witness every Nth packet (0 disables)")
-	fs.BoolVar(&f.JSON, "json", false, "machine-readable JSON output")
-	fs.StringVar(&f.Schema, "schema", "",
-		fmt.Sprintf("header schema for the programmable parser: %s (empty: canonical default)",
-			strings.Join(packet.BuiltinSchemaNames(), ", ")))
 	return f
 }
 

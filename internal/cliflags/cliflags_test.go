@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"io"
 	"net/http"
 	"testing"
 
@@ -72,5 +73,28 @@ func TestServeStartsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("status = %d", resp.StatusCode)
+	}
+}
+
+// TestRegisterObservability: the observability subset registers
+// -metrics-addr and -trace-sample only, so a command without JSON output
+// or a schema choice rejects -json and -schema instead of ignoring them.
+func TestRegisterObservability(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := RegisterObservability(fs)
+	if err := fs.Parse([]string{"-metrics-addr", "127.0.0.1:0", "-trace-sample", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if f.MetricsAddr != "127.0.0.1:0" || f.TraceSample != 3 {
+		t.Errorf("parsed = %+v", *f)
+	}
+	for _, arg := range []string{"-json", "-schema=vxlan"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		RegisterObservability(fs)
+		if err := fs.Parse([]string{arg}); err == nil {
+			t.Errorf("%s accepted", arg)
+		}
 	}
 }

@@ -25,7 +25,7 @@
 // pre-validates whole batches) must additionally require Rejections == 0.
 //
 // The fabric uses Check as the semantic oracle behind its syntactic
-// Commutes fast path; mafuzz -confluence-fuzz cross-checks Check against
+// Commutes fast path; mafuzz -props confluence cross-checks Check against
 // brute-force interleaving on the NetKAT oracle; manorm -confluence
 // exposes it as a JSON verdict with a rendered counterexample.
 package confluence

@@ -106,6 +106,9 @@ type Pipeline struct {
 	// general loop.
 	fusedT   *Table
 	fusedFDD *classifier.FDD
+	// logical holds, on a fused pipeline, each logical stage's entry
+	// count: the shape its per-entry counters are read back in.
+	logical []int
 	// schema is the header schema the pipeline was compiled against (the
 	// default one unless WithSchema named another): match columns and
 	// rewriting actions were resolved to its slot indices at compile time.
@@ -671,11 +674,6 @@ func (p *Pipeline) Templates() []string {
 	return out
 }
 
-// Counter returns the packet count of one entry of one stage.
-func (p *Pipeline) Counter(stage, entry int) uint64 {
-	return p.tables[stage].counters[entry].Load()
-}
-
 // ResetCounters zeroes all per-entry counters.
 func (p *Pipeline) ResetCounters() {
 	for _, t := range p.tables {
@@ -685,11 +683,22 @@ func (p *Pipeline) ResetCounters() {
 	}
 }
 
-// StageEntryCount returns the entry count of a stage (for stats readers).
-func (p *Pipeline) StageEntryCount(stage int) int { return len(p.tables[stage].counters) }
-
 // Counters returns a snapshot of all per-entry packet counters of a stage.
+// A fused pipeline counts per fused rule; it reports logical stage s by
+// crediting each rule's count to every entry of s its path matched.
 func (p *Pipeline) Counters(stage int) []uint64 {
+	if t := p.fusedT; t != nil {
+		out := make([]uint64, p.logical[stage])
+		for ri, steps := range t.fusedStages {
+			n := t.counters[ri].Load()
+			for _, st := range steps {
+				if st.Stage == stage && st.Entry >= 0 {
+					out[st.Entry] += n
+				}
+			}
+		}
+		return out
+	}
 	t := p.tables[stage]
 	out := make([]uint64, len(t.counters))
 	for i := range t.counters {

@@ -163,18 +163,18 @@ func TestCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := dp.Counter(0, 0); got != 5 {
+	if got := dp.Counters(0)[0]; got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	if got := dp.Counter(0, 1); got != 0 {
+	if got := dp.Counters(0)[1]; got != 0 {
 		t.Errorf("untouched counter = %d", got)
 	}
 	dp.ResetCounters()
-	if dp.Counter(0, 0) != 0 {
+	if dp.Counters(0)[0] != 0 {
 		t.Errorf("reset did not zero counters")
 	}
-	if dp.StageEntryCount(0) != 6 {
-		t.Errorf("StageEntryCount = %d", dp.StageEntryCount(0))
+	if n := len(dp.Counters(0)); n != 6 {
+		t.Errorf("stage 0 has %d counters, want 6", n)
 	}
 }
 

@@ -87,6 +87,9 @@ func CompileFused(p *mat.Pipeline, opts ...Option) (*Pipeline, error) {
 	}
 
 	out := &Pipeline{Name: p.Name, tables: []*Table{ct}, start: 0, fusedT: ct, fusedFDD: cls, schema: cfg.schema, opts: opts}
+	for _, st := range p.Stages {
+		out.logical = append(out.logical, len(st.Table.Entries))
+	}
 	out.collectMatchSlots()
 	if cfg.reg != nil {
 		out.tel = &pipelineTel{

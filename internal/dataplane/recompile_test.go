@@ -52,10 +52,10 @@ func TestRecompileSharesCleanTables(t *testing.T) {
 			t.Errorf("clean stage %d was recompiled", si)
 		}
 	}
-	if n := got.Counter(1, 0); n != 1 {
+	if n := got.Counters(1)[0]; n != 1 {
 		t.Errorf("clean stage's counter = %d across the swap, want 1", n)
 	}
-	if n := got.Counter(0, 0); n != 0 {
+	if n := got.Counters(0)[0]; n != 0 {
 		t.Errorf("recompiled stage's counter = %d, want a restart at 0", n)
 	}
 	fresh, err := Compile(mp, AutoTemplates)

@@ -3,6 +3,8 @@ package difftest
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand"
 
 	"manorm/internal/core"
 	"manorm/internal/fd"
@@ -45,65 +47,52 @@ func CaveatPipeline(t *mat.Table) (*mat.Pipeline, error) {
 		return nil, errors.New("difftest: dependency has no match field to move")
 	}
 
+	gid := make([]mat.Cell, len(t.Entries))
 	groups := t.GroupBy(x)
-	gidOf := make([]int, len(t.Entries))
+	mw := uint8(max(1, bits.Len(uint(len(groups)-1))))
 	for gi, idxs := range groups {
 		for _, ei := range idxs {
-			gidOf[ei] = gi
+			gid[ei] = mat.Exact(uint64(gi), mw)
 		}
-	}
-	mw := uint8(1)
-	for n := len(groups); n > 1<<mw; {
-		mw++
 	}
 	metaName := mat.MetaPrefix + "_" + x.Names(t.Schema)[0]
-
-	// Stage 1: every attribute except the moved field, plus the metadata
-	// write. The projection keeps full rows distinct but match rows
-	// duplicated — the 1NF violation the construction cannot avoid.
-	s1Idx := mat.FullSet(len(t.Schema)).Minus(y).Members()
-	s1Sch := append(t.Schema.Project(s1Idx), mat.A(metaName, mw))
-	s1 := mat.New(t.Name+"_dec", s1Sch)
-	seen1 := make(map[string]bool, len(t.Entries))
-	for ei, e := range t.Entries {
-		row := make([]mat.Cell, 0, len(s1Sch))
-		for _, i := range s1Idx {
-			row = append(row, e[i])
+	// stage projects every entry onto idx with its group tag, first or
+	// last, keeping one row per distinct result.
+	stage := func(name string, idx []int, tagFirst bool) *mat.Table {
+		sch := t.Schema.Project(idx)
+		if tagFirst {
+			sch = append(mat.Schema{mat.F(metaName, mw)}, sch...)
+		} else {
+			sch = append(sch, mat.A(metaName, mw))
 		}
-		row = append(row, mat.Exact(uint64(gidOf[ei]), mw))
-		k := fmt.Sprint(row)
-		if seen1[k] {
-			continue
+		st, seen := mat.New(name, sch), make(map[string]bool)
+		for ei, e := range t.Entries {
+			row := make([]mat.Cell, 0, len(sch))
+			for _, i := range idx {
+				row = append(row, e[i])
+			}
+			if tagFirst {
+				row = append([]mat.Cell{gid[ei]}, row...)
+			} else {
+				row = append(row, gid[ei])
+			}
+			if k := fmt.Sprint(row); !seen[k] {
+				seen[k] = true
+				st.Add(row...)
+			}
 		}
-		seen1[k] = true
-		s1.Add(row...)
+		return st
 	}
 
-	// Stage 2: the metadata tag plus the moved match field — the
-	// "validation" table that checks the field against the group.
-	yIdx := y.Members()
-	s2Sch := append(mat.Schema{mat.F(metaName, mw)}, t.Schema.Project(yIdx)...)
-	s2 := mat.New(t.Name+"_dep", s2Sch)
-	seen2 := make(map[string]bool, len(t.Entries))
-	for ei, e := range t.Entries {
-		row := make([]mat.Cell, 0, len(s2Sch))
-		row = append(row, mat.Exact(uint64(gidOf[ei]), mw))
-		for _, i := range yIdx {
-			row = append(row, e[i])
-		}
-		k := fmt.Sprint(row)
-		if seen2[k] {
-			continue
-		}
-		seen2[k] = true
-		s2.Add(row...)
-	}
-
+	// Stage 1 keeps every attribute but the moved field and writes the
+	// tag: full rows stay distinct but match rows duplicate — the 1NF
+	// violation the construction cannot avoid. Stage 2 is the
+	// "validation" table checking the moved field against the group.
 	p := &mat.Pipeline{
 		Name: t.Name + "-fig3",
 		Stages: []mat.Stage{
-			{Table: s1, Next: 1, MissDrop: true},
-			{Table: s2, Next: -1, MissDrop: true},
+			{Table: stage(t.Name+"_dec", mat.FullSet(len(t.Schema)).Minus(y).Members(), false), Next: 1, MissDrop: true},
+			{Table: stage(t.Name+"_dep", y.Members(), true), Next: -1, MissDrop: true},
 		},
 	}
 	if err := p.Validate(); err != nil {
@@ -112,16 +101,31 @@ func CaveatPipeline(t *mat.Table) (*mat.Pipeline, error) {
 	return p, nil
 }
 
-// PlantCaveat generates a program carrying the Fig. 3 trap: a universal
-// table with an action-to-match dependency plus the Caveat flag that
-// makes Execute attach the forbidden decomposition. Executing it must
-// diverge; the caller typically shrinks the result and writes it to the
-// corpus.
-func PlantCaveat(seed int64, cfg GenConfig) (*Program, error) {
-	cfg.PlantActionFD = true
-	p := Generate(seed, cfg)
-	if _, err := CaveatPipeline(p.Table); err != nil {
+// PlantCaveat generates a program carrying the Fig. 3 trap: two match
+// columns whose cross product carries a per-entry-distinct "out", so
+// {out} → {field} holds while neither match column alone determines out,
+// plus the Caveat flag that attaches the forbidden decomposition along
+// that dependency. A couple of noise entries in a third group give the
+// shrinker something to chew on. Checking it must diverge.
+func PlantCaveat(seed int64) (*Program, error) {
+	rng := rand.New(rand.NewSource(seed))
+	perm := rng.Perm(len(fieldPool))
+	f0, f1 := fieldPool[perm[0]], fieldPool[perm[1]]
+	t := mat.New(fmt.Sprintf("fuzz%d", seed), mat.Schema{mat.F(f0.name, f0.width), mat.F(f1.name, f1.width), mat.A("out", 16)})
+	pool0 := cellPool(rng, f0.width, 3, false)
+	pool1 := cellPool(rng, f1.width, 2, false)
+	used := make(map[uint64]bool)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			t.Add(pool0[i], pool1[j], mat.Exact(distinctValue(rng, 16, used), 16))
+		}
+	}
+	for k := 0; k < 1+rng.Intn(2) && len(pool0) > 2; k++ {
+		t.Add(pool0[2], pool1[rng.Intn(len(pool1))], mat.Exact(distinctValue(rng, 16, used), 16))
+	}
+	dropAmbiguous(t)
+	if _, err := CaveatPipeline(t); err != nil {
 		return nil, fmt.Errorf("difftest: seed %d: %w", seed, err)
 	}
-	return p, nil
+	return &Program{Seed: seed, Note: fmt.Sprintf("fig3-caveat(seed=%d)", seed), Caveat: true, Table: t, Packets: genPackets(rng, t)}, nil
 }

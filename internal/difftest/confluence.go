@@ -1,8 +1,10 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"manorm/internal/confluence"
 	"manorm/internal/mat"
@@ -10,29 +12,17 @@ import (
 	"manorm/internal/openflow"
 )
 
-// GenerateConcurrent produces one seeded confluence case: a generated
-// universal table as the base state plus two concurrent flow-mod batches
-// drawn against it. The batches follow the same disjoint-or-equal
-// per-column cell discipline as the base generator, so every reachable
-// state is ambiguity-free (two rows overlap iff their match rows are
-// identical) and the relational evaluator never errors — the interesting
-// races are first-writer-wins key collisions and rejected mods, which
-// the verifier must classify exactly as brute-force interleaving does.
-func GenerateConcurrent(seed int64, cfg GenConfig) *Program {
-	base := Generate(seed, cfg)
+// GenerateConcurrent produces one seeded Batches input: a generated
+// table as the base state plus two concurrent flow-mod batches under the
+// base generator's disjoint-or-equal cell discipline, so every reachable
+// state is ambiguity-free — the races are first-writer-wins key
+// collisions and rejected mods.
+func GenerateConcurrent(seed int64) *Program {
+	t := Generate(seed).Table
 	rng := rand.New(rand.NewSource(seed + 0x5eed))
-	t := base.Table
 	pools := batchPools(rng, t)
-	p := &Program{
-		Seed:  seed,
-		Note:  fmt.Sprintf("concurrent(seed=%d)", seed),
-		Table: t,
-	}
-	p.Batches = [][]openflow.FlowMod{
-		genBatch(rng, t, pools),
-		genBatch(rng, t, pools),
-	}
-	return p
+	return &Program{Seed: seed, Note: fmt.Sprintf("concurrent(seed=%d)", seed), Table: t,
+		Batches: [][]openflow.FlowMod{genBatch(rng, t, pools), genBatch(rng, t, pools)}}
 }
 
 // colPool is one match column's candidate cells: the cells installed
@@ -52,34 +42,19 @@ func batchPools(rng *rand.Rand, t *mat.Table) []colPool {
 	var pools []colPool
 	for _, fi := range t.Schema.Fields() {
 		cp := colPool{idx: fi, name: t.Schema[fi].Name, width: t.Schema[fi].Width}
-		seen := make(map[mat.Cell]bool)
-		hasAny := false
 		for _, e := range t.Entries {
-			if !seen[e[fi]] {
-				seen[e[fi]] = true
+			if !slices.Contains(cp.existing, e[fi]) {
 				cp.existing = append(cp.existing, e[fi])
-				if e[fi].IsAny() {
-					hasAny = true
-				}
 			}
 		}
 		if len(cp.existing) == 0 {
 			cp.existing = append(cp.existing, mat.Any())
-			hasAny = true
 		}
-		if !hasAny {
-			for tries := 0; len(cp.fresh) < 3 && tries < 32; tries++ {
-				c := mat.Exact(rng.Uint64()&mask(cp.width), cp.width)
-				disjoint := true
-				for _, o := range append(cp.existing, cp.fresh...) {
-					if c.Overlaps(o, cp.width) {
-						disjoint = false
-						break
-					}
-				}
-				if disjoint {
-					cp.fresh = append(cp.fresh, c)
-				}
+		hasAny := slices.ContainsFunc(cp.existing, mat.Cell.IsAny)
+		for tries := 0; !hasAny && len(cp.fresh) < 3 && tries < 32; tries++ {
+			c := mat.Exact(rng.Uint64()&mask(cp.width), cp.width)
+			if len(addDisjoint(cp.existing, c, cp.width)) > len(cp.existing) {
+				cp.fresh = addDisjoint(cp.fresh, c, cp.width)
 			}
 		}
 		pools = append(pools, cp)
@@ -111,35 +86,21 @@ func genBatch(rng *rand.Rand, t *mat.Table, pools []colPool) []openflow.FlowMod 
 				match = append(match, openflow.MatchField{Name: cp.name, Width: cp.width, Cell: cell})
 			}
 		}
-		var cmd openflow.FlowModCommand
-		r := rng.Float64()
-		if onExisting {
-			switch {
-			case r < 0.35:
-				cmd = openflow.FlowDelete
-			case r < 0.70:
-				cmd = openflow.FlowModify
-			default:
-				cmd = openflow.FlowAdd // duplicate: a first-writer-wins race
-			}
-		} else {
-			switch {
-			case r < 0.70:
-				cmd = openflow.FlowAdd
-			case r < 0.85:
-				cmd = openflow.FlowDelete // usually a rejection
-			default:
-				cmd = openflow.FlowModify // usually a rejection
-			}
+		// On an installed entry: delete, modify, or a racing duplicate add
+		// (first writer wins). On a composed row: mostly adds of fresh
+		// keys; a delete or modify there is usually a rejection.
+		cmd, r := openflow.FlowAdd, rng.Float64()
+		switch {
+		case onExisting && r < 0.35, !onExisting && r >= 0.70 && r < 0.85:
+			cmd = openflow.FlowDelete
+		case onExisting && r < 0.70, !onExisting && r >= 0.85:
+			cmd = openflow.FlowModify
 		}
 		mod := openflow.FlowMod{Command: cmd, TableID: 0, Match: match}
 		if cmd != openflow.FlowDelete {
 			for _, ai := range t.Schema.Actions() {
-				mod.Actions = append(mod.Actions, openflow.ActionField{
-					Name:  t.Schema[ai].Name,
-					Width: t.Schema[ai].Width,
-					Value: rng.Uint64() & mask(t.Schema[ai].Width),
-				})
+				a := t.Schema[ai]
+				mod.Actions = append(mod.Actions, openflow.ActionField{Name: a.Name, Width: a.Width, Value: rng.Uint64() & mask(a.Width)})
 			}
 		}
 		batch = append(batch, mod)
@@ -166,48 +127,22 @@ func PlantConfluencePair(seed int64) *Program {
 		usedDst[e[1].Bits] = true
 		usedVlan[e[2].Bits] = true // keep clear of the mod_vlan targets too
 	}
-	vlan := distinctValue(rng, 12, usedVlan)
-	dst := distinctValue(rng, 16, usedDst)
-	match := []openflow.MatchField{
-		{Name: t.Schema[0].Name, Width: 12, Cell: mat.Exact(vlan, 12)},
-		{Name: t.Schema[1].Name, Width: 16, Cell: mat.Exact(dst, 16)},
-	}
-	add := func(modVlan, out uint64) openflow.FlowMod {
-		return openflow.FlowMod{
-			Command: openflow.FlowAdd, TableID: 0,
-			Match: append([]openflow.MatchField(nil), match...),
-			Actions: []openflow.ActionField{
-				{Name: "mod_vlan", Width: 12, Value: modVlan},
-				{Name: "out", Width: 16, Value: out},
+	vlan, dst := distinctValue(rng, 12, usedVlan), distinctValue(rng, 16, usedDst)
+	add := func(modVlan, out uint64) []openflow.FlowMod {
+		return []openflow.FlowMod{{Command: openflow.FlowAdd,
+			Match: []openflow.MatchField{
+				{Name: t.Schema[0].Name, Width: 12, Cell: mat.Exact(vlan, 12)},
+				{Name: t.Schema[1].Name, Width: 16, Cell: mat.Exact(dst, 16)},
 			},
-		}
+			Actions: []openflow.ActionField{{Name: "mod_vlan", Width: 12, Value: modVlan}, {Name: "out", Width: 16, Value: out}},
+		}}
 	}
-	mv1 := distinctValue(rng, 12, usedVlan)
-	mv2 := distinctValue(rng, 12, usedVlan)
-	o1 := distinctValue(rng, 16, usedDst)
-	o2 := distinctValue(rng, 16, usedDst)
-	return &Program{
-		Seed:    seed,
-		Note:    fmt.Sprintf("confluence-pair(seed=%d)", seed),
-		Table:   t,
-		Batches: [][]openflow.FlowMod{{add(mv1, o1)}, {add(mv2, o2)}},
-	}
+	mv1, mv2 := distinctValue(rng, 12, usedVlan), distinctValue(rng, 12, usedVlan)
+	o1, o2 := distinctValue(rng, 16, usedDst), distinctValue(rng, 16, usedDst)
+	return &Program{Seed: seed, Note: fmt.Sprintf("confluence-pair(seed=%d)", seed), Table: t, Batches: [][]openflow.FlowMod{add(mv1, o1), add(mv2, o2)}}
 }
 
-// confluenceOptions is the budget ExecuteConfluence verifies with: small
-// batches (≤ 3+3 mods, ≤ 20 interleavings) always enumerate
-// exhaustively, and compensation is always checked.
-func confluenceOptions(seed int64) confluence.Options {
-	return confluence.Options{
-		MaxOrderings:    64,
-		SampleOrderings: 16,
-		WitnessPackets:  512,
-		Seed:            seed + 1,
-		Compensation:    true,
-	}
-}
-
-// ExecuteConfluence cross-checks the confluence verifier against
+// checkConfluence cross-checks the confluence verifier against
 // brute-force interleaving: every ordering is applied independently and
 // the final states are compared pairwise on the NetKAT oracle. The
 // verdicts must agree directionally —
@@ -220,29 +155,30 @@ func confluenceOptions(seed int64) confluence.Options {
 // verdict brute force confirms (the finals genuinely differ) is reported
 // as KindNonConfluent: expected for racing updates, replayable from the
 // corpus, and not a fuzz failure.
-func ExecuteConfluence(p *Program, cfg ExecConfig) ([]Divergence, error) {
-	cfg = cfg.withDefaults()
-	base := mat.SingleTable(p.Table)
-	v, err := confluence.Check(base, p.Batches, confluenceOptions(p.Seed))
+func checkConfluence(c *Case) ([]Divergence, error) {
+	// Small batches (≤ 3+3 mods, ≤ 20 interleavings) always enumerate
+	// exhaustively, and compensation is always checked.
+	v, err := confluence.Check(mat.SingleTable(c.Table), c.Batches, confluence.Options{
+		MaxOrderings: 64, SampleOrderings: 16, WitnessPackets: 512, Seed: c.Seed + 1, Compensation: true})
 	if err != nil {
-		return nil, fmt.Errorf("difftest: confluence check: %w", err)
+		return nil, err
 	}
 
 	// Brute force, independent of the verifier's grouping and
 	// fingerprinting: apply every interleaving, collect canonical states,
 	// and compare finals on the oracle.
-	sizes := make([]int, len(p.Batches))
-	for i, b := range p.Batches {
+	sizes := make([]int, len(c.Batches))
+	for i, b := range c.Batches {
 		sizes[i] = len(b)
 	}
-	orders, exhaustive := confluence.Interleavings(sizes, 512, 32, p.Seed+2)
+	orders, exhaustive := confluence.Interleavings(sizes, 512, 32, c.Seed+2)
 	finals := make([]*mat.Pipeline, len(orders))
 	states := make(map[string]bool)
 	for oi, order := range orders {
-		q := mat.SingleTable(p.Table.Clone())
-		pos := make([]int, len(p.Batches))
+		q := mat.SingleTable(c.Table.Clone())
+		pos := make([]int, len(c.Batches))
 		for _, bi := range order {
-			mod := p.Batches[bi][pos[bi]]
+			mod := c.Batches[bi][pos[bi]]
 			_ = openflow.ApplyToPipeline(q, &mod) // rejected mods leave q untouched
 			pos[bi]++
 		}
@@ -255,12 +191,12 @@ func ExecuteConfluence(p *Program, cfg ExecConfig) ([]Divergence, error) {
 	}
 	var cex *netkat.Counterexample
 	for i := 1; i < len(finals); i++ {
-		c, _, err := netkat.EquivalentPipelines(finals[0], finals[i], cfg.OracleExhaustive)
+		cx, _, err := netkat.EquivalentPipelines(finals[0], finals[i], c.cfg.OracleExhaustive)
 		if err != nil {
-			return nil, fmt.Errorf("difftest: confluence oracle: %w", err)
+			return nil, fmt.Errorf("oracle: %w", err)
 		}
-		if c != nil {
-			cex = c
+		if cx != nil {
+			cex = cx
 			break
 		}
 	}
@@ -268,31 +204,34 @@ func ExecuteConfluence(p *Program, cfg ExecConfig) ([]Divergence, error) {
 	compFailed := v.Compensation != nil && !v.Compensation.OK
 	orderingDivergence := !v.Confluent && !compFailed
 
-	var divs []Divergence
+	var r report
 	switch {
 	case v.Confluent && cex != nil:
-		divs = append(divs, Divergence{
-			Kind: KindConfluence, Variant: "verifier", Packet: -1,
-			Detail: fmt.Sprintf("verdict confluent (%d orderings, exhaustive=%v) but the oracle refutes it: %v",
-				v.Orderings, v.Exhaustive, cex),
-		})
+		r.add(KindConfluence, "verifier", "", -1, "verdict confluent (%d orderings, exhaustive=%v) but the oracle refutes it: %v",
+			v.Orderings, v.Exhaustive, cex)
 	case orderingDivergence && len(states) == 1:
-		divs = append(divs, Divergence{
-			Kind: KindConfluence, Variant: "verifier", Packet: -1,
-			Detail: fmt.Sprintf("verdict non-confluent but all %d brute-forced interleavings (exhaustive=%v) reach the identical state: %s",
-				len(orders), exhaustive, v.Counterexample.Detail),
-		})
+		r.add(KindConfluence, "verifier", "", -1, "verdict non-confluent but all %d brute-forced interleavings (exhaustive=%v) reach the identical state: %s",
+			len(orders), exhaustive, v.Counterexample.Detail)
 	case orderingDivergence:
-		divs = append(divs, Divergence{
-			Kind: KindNonConfluent, Variant: "verifier", Packet: -1,
-			Detail: v.Counterexample.Detail,
-		})
+		c.tally["non-confluent"]++
+		r.add(KindNonConfluent, "verifier", "", -1, "%s", v.Counterexample.Detail)
 	}
 	if compFailed {
-		divs = append(divs, Divergence{
-			Kind: KindConfluence, Variant: "compensation", Packet: -1,
-			Detail: fmt.Sprintf("compensation not well-founded: %s", v.Compensation.Detail),
-		})
+		r.add(KindConfluence, "compensation", "", -1, "compensation not well-founded: %s", v.Compensation.Detail)
 	}
-	return divs, nil
+	if len(r) == 0 {
+		c.tally["confluent"]++
+	}
+	return r, nil
+}
+
+// decodeBatches reads a Batches input: the base table and at least two
+// batches (mat.Cell marshals as a plain struct, so flow-mods round-trip
+// as-is).
+func decodeBatches(f *corpusFile, p *Program) error {
+	if len(f.Batches) < 2 {
+		return errors.New("a batch pair needs two batches")
+	}
+	p.Batches = f.Batches
+	return nil
 }

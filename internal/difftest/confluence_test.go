@@ -1,22 +1,17 @@
 package difftest
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
 
 // TestPlantConfluencePairDiverges: the planted racing pair must come back
-// from the full Execute dispatch as a non-confluent divergence — the
+// from the confluence property as a non-confluent divergence — the
 // replayable kind — and never as a verifier disagreement.
 func TestPlantConfluencePairDiverges(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		p := PlantConfluencePair(seed)
-		divs, err := Execute(p, DefaultExecConfig())
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		divs := check(t, p, []Property{prop(t, "confluence")}, DefaultConfig())
 		var nonConfluent bool
 		for _, d := range divs {
 			if d.Kind == KindConfluence {
@@ -37,14 +32,10 @@ func TestPlantConfluencePairDiverges(t *testing.T) {
 // disagree with brute-force interleaving (KindNonConfluent is expected
 // for genuinely racing updates; KindConfluence never is).
 func TestConfluenceFuzzAgreement(t *testing.T) {
-	cfg := DefaultExecConfig()
 	var confluent, diverging int
 	for seed := int64(1); seed <= 30; seed++ {
-		p := GenerateConcurrent(seed, DefaultGenConfig())
-		divs, err := Execute(p, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		p := GenerateConcurrent(seed)
+		divs := check(t, p, []Property{prop(t, "confluence")}, DefaultConfig())
 		if len(divs) == 0 {
 			confluent++
 			continue
@@ -62,8 +53,8 @@ func TestConfluenceFuzzAgreement(t *testing.T) {
 }
 
 func TestGenerateConcurrentDeterministic(t *testing.T) {
-	a := GenerateConcurrent(11, DefaultGenConfig())
-	b := GenerateConcurrent(11, DefaultGenConfig())
+	a := GenerateConcurrent(11)
+	b := GenerateConcurrent(11)
 	if !reflect.DeepEqual(a.Batches, b.Batches) {
 		t.Fatal("GenerateConcurrent not deterministic for a fixed seed")
 	}
@@ -81,11 +72,12 @@ func TestGenerateConcurrentDeterministic(t *testing.T) {
 // written reproducer replays with its recorded kind.
 func TestConfluenceCorpusRoundTrip(t *testing.T) {
 	p := PlantConfluencePair(3)
-	b, err := MarshalCorpus(p, KindNonConfluent)
+	conf := prop(t, "confluence")
+	b, err := MarshalCorpus(p, conf, KindNonConfluent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, kind, err := UnmarshalCorpus(b)
+	_, q, kind, err := UnmarshalCorpus(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,45 +89,30 @@ func TestConfluenceCorpusRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	path, err := WriteCorpus(dir, p, KindNonConfluent)
+	path, err := WriteCorpus(dir, p, conf, KindNonConfluent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	divs, kind, err := Replay(path, DefaultExecConfig())
+	divs, kind, err := Replay(path, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, d := range divs {
-		if d.Kind == kind {
-			found = true
-		}
-	}
-	if !found {
+	if !Reproduces(divs, kind) {
 		t.Fatalf("replayed reproducer lost its %q divergence: %v", kind, divs)
 	}
-	_ = os.Remove(filepath.Join(dir, filepath.Base(path)))
 }
 
 // TestShrinkConfluencePair: shrinking a diverging confluence program
 // keeps the divergence and never leaves fewer than two batches.
 func TestShrinkConfluencePair(t *testing.T) {
 	p := PlantConfluencePair(3)
-	s := Shrink(p, DefaultExecConfig())
+	conf := prop(t, "confluence")
+	s := Shrink(p, conf, KindNonConfluent, DefaultConfig())
 	if len(s.Batches) < 2 {
 		t.Fatalf("shrink left %d batches", len(s.Batches))
 	}
-	divs, err := Execute(s, DefaultExecConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, d := range divs {
-		if d.Kind == KindNonConfluent {
-			found = true
-		}
-	}
-	if !found {
+	divs := check(t, s, []Property{conf}, DefaultConfig())
+	if !Reproduces(divs, KindNonConfluent) {
 		t.Fatalf("shrunk program lost the non-confluent divergence: %v", divs)
 	}
 	if s.Size() > p.Size() {

@@ -4,25 +4,27 @@ import (
 	"testing"
 )
 
-// TestCorpusRoundTrip: marshal → unmarshal must preserve the table, the
-// caveat flag and every frame byte-for-byte (packets compare via their
-// records, which cover all matched fields).
+// TestCorpusRoundTrip: marshal → unmarshal must preserve the property,
+// the kind, the table, the caveat flag and every frame byte-for-byte
+// (packets compare via their records, which cover all matched fields),
+// and an update stream's step count.
 func TestCorpusRoundTrip(t *testing.T) {
 	for _, seed := range []int64{3, 7} {
-		p := Generate(seed, DefaultGenConfig())
+		p := GenerateUpdates(seed)
 		p.Caveat = seed == 7
-		b, err := MarshalCorpus(p, KindVerdict)
+		pr := prop(t, "incremental")
+		b, err := MarshalCorpus(p, pr, KindFixed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, kind, err := UnmarshalCorpus(b)
+		qp, q, kind, err := UnmarshalCorpus(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kind != KindVerdict {
-			t.Fatalf("kind %q, want %q", kind, KindVerdict)
+		if qp.Name != pr.Name || kind != KindFixed {
+			t.Fatalf("property %q kind %q, want %q %q", qp.Name, kind, pr.Name, KindFixed)
 		}
-		if q.Caveat != p.Caveat || q.Seed != p.Seed || q.Note != p.Note {
+		if q.Caveat != p.Caveat || q.Seed != p.Seed || q.Note != p.Note || q.Steps != p.Steps {
 			t.Fatalf("metadata changed: %+v vs %+v", q, p)
 		}
 		if !q.Table.Equal(p.Table) {
@@ -40,10 +42,19 @@ func TestCorpusRoundTrip(t *testing.T) {
 }
 
 // TestCorpusRejectsGarbage: loader errors, not panics, on malformed
-// files.
+// files — and a shape refuses a file missing the fields it decodes.
 func TestCorpusRejectsGarbage(t *testing.T) {
-	for _, b := range []string{"", "{", `{"frames":["zz"]}`, `{"table":null}`} {
-		if _, _, err := UnmarshalCorpus([]byte(b)); err == nil {
+	table := `"table":{"name":"t","attrs":[{"name":"vlan","kind":"field","width":12}],"entries":[]}`
+	for _, b := range []string{
+		"", "{", `{"frames":["zz"]}`, `{"table":null}`,
+		`{"property":"nosuch","kind":"verdict",` + table + `}`,
+		`{"property":"forwarding",` + table + `}`,
+		`{"property":"forwarding","kind":"verdict","frames":["zz"],` + table + `}`,
+		`{"property":"schema-forwarding","kind":"verdict",` + table + `}`,
+		`{"property":"confluence","kind":"confluence",` + table + `}`,
+		`{"property":"incremental","kind":"incremental",` + table + `}`,
+	} {
+		if _, _, _, err := UnmarshalCorpus([]byte(b)); err == nil {
 			t.Fatalf("no error for %q", b)
 		}
 	}

@@ -1,175 +1,124 @@
-// Package difftest is the differential fuzzing subsystem: it generates
-// random match-action programs, enumerates every representation the
-// normalization machinery can produce for them (the universal table, the
-// full 3NF pipelines under the metadata and goto joins, and one-step
-// decompositions along every mined dependency), executes all of them on
-// all four switch models, and cross-checks the outputs packet by packet —
-// against each other, against the relational semantics, against the
-// finite-domain NetKAT oracle where widths permit, and against the
-// per-packet trace witnesses.
+// Package difftest is the differential fuzzing subsystem: a registry of
+// properties (Properties) checked on four input shapes — a program plus
+// packets (Programs), a program over an invented header schema plus raw
+// frames (Schemas), a base table plus two concurrent flow-mod batches
+// (Batches), and a program plus update steps (Updates).
 //
 // By the paper's Theorem 1 every representation of a 1NF table is
-// semantically equivalent, so for a well-formed generated program *any*
-// disagreement is a bug — in the normalizer, in a classifier, in a flow
-// cache, or in the harness's own understanding of the semantics. The
-// generator also knows how to plant the paper's Fig. 3 caveat (a
-// decomposition along an action-to-match dependency, which core.Decompose
-// rightly refuses): executing the hand-built forbidden pipeline must
-// produce a divergence, which the shrinker minimizes into a replayable
-// corpus file. cmd/mafuzz drives the loop; the corpus under
-// testdata/corpus is replayed by the regression tests and by CI.
+// semantically equivalent, so for a well-formed generated input *any*
+// divergence is a bug — in the normalizer, a classifier, a flow cache,
+// the update path, or the harness's own reading of the semantics. The
+// program properties cross-check every representation the normalizer can
+// produce (core.Variants, plus fused twins) against the relational
+// semantics, the NetKAT oracle and the trace witnesses, on all four
+// switch models.
+//
+// Each shape has one generator, named planted inputs that must diverge
+// (the paper's Fig. 3 caveat, the set-field/rematch hazard, a racing
+// flow-mod pair), and one shrinker, which minimizes a diverging input
+// into a corpus file naming its property and kind. Run shares the
+// expensive per-input work across the selected properties of a shape;
+// cmd/mafuzz drives the loop, and the regression tests and CI replay the
+// corpus under testdata/corpus.
 package difftest
 
 import (
 	"fmt"
+	"slices"
 
-	"manorm/internal/core"
 	"manorm/internal/mat"
 	"manorm/internal/openflow"
 	"manorm/internal/packet"
 	"manorm/internal/switches"
 )
 
-// Program is one differential test case: a universal table plus the
-// packet batch to drive through every representation of it.
+// Program is one input of any shape; the fields a shape does not use
+// stay empty.
 type Program struct {
-	// Seed is the generator seed the program came from (0 for hand-built
-	// or corpus-loaded programs).
+	// Seed is the generator seed (0 for hand-built programs); Note a
+	// provenance tag ("gen(seed=42)", "fig3-caveat(seed=7)", ...).
 	Seed int64
-	// Note is a human-readable provenance tag ("gen(seed=42)",
-	// "fig3-caveat(seed=7)", ...).
 	Note string
-	// Caveat attaches the hand-built Fig. 3 decomposition (see
-	// CaveatPipeline) as an extra variant. It is part of the program, not
-	// the executor config, so that shrinking and corpus replay preserve
-	// it.
+	// Caveat attaches the Fig. 3 decomposition (CaveatPipeline) as an
+	// extra variant.
 	Caveat bool
-	// Table is the universal (single-table, 1NF) program.
+	// Table is the universal (single-table, 1NF) program; of a Batches
+	// input, the base state.
 	Table *mat.Table
-	// Packets is the input batch. Packets are full-stack
-	// Ethernet/VLAN/IPv4/TCP frames so the relational record and the
+	// Packets is the input batch of Programs and Updates: full-stack
+	// Ethernet/VLAN/IPv4/TCP frames, so the relational record and the
 	// parsed wire frame agree on every canonical field.
 	Packets []*packet.Packet
-	// Graph, when non-nil, puts the program in schema mode: the table is
-	// written against the graph's header schema and the input batch is
-	// Frames (decoded through the compiled graph), not Packets. Generated
-	// by GenerateSchema and PlantSchemaHazard.
-	Graph *packet.ParseGraph
-	// Frames is the schema-mode input batch as wire frames; every
-	// executor parses its own view from the bytes, as a real datapath
-	// would.
+	// Graph is the parse graph a Schemas table is written against, and
+	// Frames its input batch; every executor parses its own view from the
+	// bytes, as a real datapath would.
+	Graph  *packet.ParseGraph
 	Frames [][]byte
-	// Batches, when non-empty, puts the program in confluence mode: the
-	// table is the base state and the batches are concurrently-planned
-	// flow-mod sequences whose semantic commutation Execute cross-checks
-	// (verifier verdict vs brute-force interleaving on the NetKAT
-	// oracle). Generated by GenerateConcurrent and PlantConfluencePair.
+	// Batches are a Batches input's concurrently planned flow-mods.
 	Batches [][]openflow.FlowMod
+	// Steps is the number of update rounds of an Updates input.
+	Steps int
 }
 
-// SchemaMode reports whether the program is driven through a custom
-// header schema (Graph/Frames) rather than the canonical Packet batch.
-func (p *Program) SchemaMode() bool { return p.Graph != nil }
-
-// NumInputs returns the input batch length in either mode.
-func (p *Program) NumInputs() int {
-	if p.SchemaMode() {
-		return len(p.Frames)
-	}
-	return len(p.Packets)
-}
-
-// Clone deep-copies the program. The parse graph is shared: it is
+// Clone copies the program deeply enough for the shrinker, which cuts
+// list elements and projects the table. The parse graph is shared: it is
 // immutable after construction.
 func (p *Program) Clone() *Program {
-	q := &Program{Seed: p.Seed, Note: p.Note, Caveat: p.Caveat, Table: p.Table.Clone(), Graph: p.Graph}
-	q.Packets = make([]*packet.Packet, len(p.Packets))
-	for i, pk := range p.Packets {
-		c := *pk
-		c.Payload = append([]byte(nil), pk.Payload...)
-		q.Packets[i] = &c
+	q := *p
+	q.Table = p.Table.Clone()
+	q.Packets, q.Frames = slices.Clone(p.Packets), slices.Clone(p.Frames)
+	q.Batches = make([][]openflow.FlowMod, len(p.Batches))
+	for i, b := range p.Batches {
+		q.Batches[i] = slices.Clone(b)
 	}
-	if p.Frames != nil {
-		q.Frames = make([][]byte, len(p.Frames))
-		for i, f := range p.Frames {
-			q.Frames[i] = append([]byte(nil), f...)
-		}
-	}
-	if p.Batches != nil {
-		q.Batches = make([][]openflow.FlowMod, len(p.Batches))
-		for i, b := range p.Batches {
-			nb := make([]openflow.FlowMod, len(b))
-			for j, f := range b {
-				nb[j] = f
-				nb[j].Match = append([]openflow.MatchField(nil), f.Match...)
-				nb[j].Actions = append([]openflow.ActionField(nil), f.Actions...)
-			}
-			q.Batches[i] = nb
-		}
-	}
-	return q
+	return &q
 }
 
-// Size is the shrink metric: schema attributes + entries + inputs (plus
-// batch mods in confluence mode). The shrinker only accepts candidates
-// that strictly decrease it.
+// Size is the shrink metric: schema attributes + entries + packets or
+// frames + batch mods + steps.
 func (p *Program) Size() int {
-	n := len(p.Table.Schema) + len(p.Table.Entries) + p.NumInputs()
-	for _, b := range p.Batches {
-		n += len(b)
-	}
-	return n
+	return len(p.Table.Schema) + len(p.Table.Entries) + len(p.Packets) + len(p.Frames) + len(slices.Concat(p.Batches...)) + p.Steps
 }
 
-// Divergence kinds, roughly ordered by layer.
+// Divergence kinds. Within a shape, each comes from exactly one property
+// (see Properties).
 const (
-	// KindConstruct: building or installing a representation failed where
-	// it must not (Variants, CaveatPipeline, dataplane.Compile, Install).
+	// KindConstruct: building or installing a representation failed.
 	KindConstruct = "construct"
-	// KindEval: an evaluator reported a runtime error — almost always the
-	// ambiguous-match error, i.e. an order-independence (1NF) violation
-	// observable at runtime. This is how the planted Fig. 3 decomposition
-	// announces itself under the relational semantics.
+	// KindEval: the relational semantics reported a runtime error —
+	// almost always the ambiguous-match error of a 1NF violation, which
+	// is how the planted Fig. 3 decomposition announces itself.
 	KindEval = "eval-error"
-	// KindRelational: a variant's relational (mat.Eval) observable output
-	// differs from the universal table's on some packet.
+	// KindRelational: a variant's relational output differs from the
+	// universal table's on some packet.
 	KindRelational = "relational"
 	// KindEvaluator: the indexed evaluator (mat.Evaluator) and the
-	// definition of the relational semantics (mat.Pipeline.Eval) disagree
-	// on a representation's output record or on whether it errors —
-	// always a bug in the index, whatever the program.
+	// definition (mat.Pipeline.Eval) disagree — always an index bug.
 	KindEvaluator = "evaluator"
-	// KindOracle: the finite-domain NetKAT oracle found a diverging probe
-	// packet (possibly one no generated packet covered).
+	// KindOracle: the NetKAT oracle found a diverging probe, or could not
+	// evaluate one.
 	KindOracle = "oracle"
-	// KindVerdict: a compiled representation's verdict (drop/output port)
-	// on a switch model differs from the relational ground truth.
+	// KindVerdict: a compiled representation's drop/port verdict differs
+	// from the relational ground truth, or was not produced.
 	KindVerdict = "verdict"
-	// KindMutation: the dataplane's final header rewrites differ from the
+	// KindMutation: the dataplane's header rewrites differ from the
 	// action attributes the relational semantics assigned.
 	KindMutation = "mutation"
-	// KindWitness: a ProcessExplain trace witness is inconsistent with
-	// the verdict it explains.
+	// KindWitness: a ProcessExplain witness contradicts its verdict.
 	KindWitness = "witness"
-	// KindCache: a switch model changed its verdict between a cold and a
-	// warm run of the same batch — a flow-cache replay bug.
+	// KindCache: a model's verdict changed from a cold to a warm run.
 	KindCache = "cache"
-	// KindConfluence: the confluence verifier's verdict disagrees with
-	// brute-force interleaving on the NetKAT oracle (a confluent verdict
-	// the oracle refutes, a non-confluent verdict over identical finals,
-	// or a failed compensation rollback) — always a verifier or harness
-	// bug, never an expected outcome.
+	// KindCounters: a fused twin's per-logical-entry counters differ from
+	// its interpreted pipeline's after the same batch.
+	KindCounters = "counters"
+	// KindConfluence: the confluence verifier disagrees with brute-force
+	// interleaving, or a compensation rollback failed.
 	KindConfluence = "confluence"
-	// KindNonConfluent: the batches genuinely do not commute — the
-	// verifier flagged divergent orderings and brute force confirms the
-	// finals differ. This is the expected, replayable kind for planted
-	// racing-update reproducers; the confluence fuzz loop counts it
-	// without failing.
+	// KindNonConfluent: the batches genuinely race, as brute force
+	// confirms — expected of racing updates, so mafuzz counts it.
 	KindNonConfluent = "non-confluent"
-	// KindIncremental: a switch brought up to date by incremental barrier
-	// commits disagrees with its from-scratch reference — on a commit's
-	// accept/reject verdict, on a forwarded packet, or on the installed
-	// shape (ExecuteIncremental).
+	// KindIncremental: a switch updated by incremental barrier commits
+	// disagrees with its from-scratch reference.
 	KindIncremental = "incremental"
 	// KindFixed is no divergence: it marks a corpus reproducer of a bug
 	// since fixed, which must replay with no divergence at all.
@@ -178,18 +127,17 @@ const (
 
 // Divergence is one detected disagreement between representations.
 type Divergence struct {
-	// Kind is one of the Kind* constants.
-	Kind string
+	// Property names the property that found it; Kind is one of the Kind*
+	// constants.
+	Property, Kind string
 	// Variant names the representation that disagreed ("universal",
-	// "nf3-metadata", "dec(...)/goto", "fig3-caveat", ...).
-	Variant string
-	// Model is the switch model involved, "dataplane" for the directly
-	// compiled pipeline, or "" for relational/oracle checks.
-	Model string
-	// Packet is the index into Program.Packets, or -1 when the check is
-	// not tied to a generated packet (oracle probes, construction).
+	// "nf3-metadata", "dec(...)/goto", "fig3-caveat", ...), Model the
+	// switch model ("dataplane" for the directly compiled pipeline, ""
+	// for the relational layers).
+	Variant, Model string
+	// Packet indexes the input batch, or is -1 when the check is not tied
+	// to one input.
 	Packet int
-	// Detail is a human-readable description of the disagreement.
 	Detail string
 }
 
@@ -200,49 +148,24 @@ func (d Divergence) String() string {
 		where += "@" + d.Model
 	}
 	if d.Packet >= 0 {
-		return fmt.Sprintf("[%s] %s pkt %d: %s", d.Kind, where, d.Packet, d.Detail)
+		where += fmt.Sprintf(" pkt %d", d.Packet)
 	}
-	return fmt.Sprintf("[%s] %s: %s", d.Kind, where, d.Detail)
+	return fmt.Sprintf("[%s/%s] %s: %s", d.Property, d.Kind, where, d.Detail)
 }
 
-// ExecConfig controls how much cross-checking Execute performs per
-// program.
-type ExecConfig struct {
-	// Models lists the switch models to execute on; nil means all four.
-	Models []string
-	// Target is the normal form Variants normalizes to (default 3NF).
-	Target core.Form
-	// OracleExhaustive is the largest probe-domain size the NetKAT oracle
-	// enumerates exhaustively ("where widths permit").
-	OracleExhaustive int
-	// OracleSample is the probe count for sampled oracle checks when the
-	// domain is too large to enumerate; 0 skips those domains.
-	OracleSample int
-	// MaxDivergences stops the executor early once this many divergences
-	// accumulated (a broken program tends to diverge everywhere at once).
-	MaxDivergences int
+// maxDivergences stops a run early: a broken program tends to diverge
+// everywhere at once.
+const maxDivergences = 16
+
+// Config sets the models a run executes on and the NetKAT oracle's
+// budget: it enumerates probe domains up to OracleExhaustive packets and
+// samples OracleSample probes of larger ones (0 skips them).
+type Config struct {
+	Models                         []string
+	OracleExhaustive, OracleSample int
 }
 
-// DefaultExecConfig is the configuration mafuzz and the tests run with.
-func DefaultExecConfig() ExecConfig {
-	return ExecConfig{
-		Models:           switches.ModelNames(),
-		Target:           core.NF3,
-		OracleExhaustive: 4096,
-		OracleSample:     128,
-		MaxDivergences:   16,
-	}
-}
-
-func (c ExecConfig) withDefaults() ExecConfig {
-	if c.Models == nil {
-		c.Models = switches.ModelNames()
-	}
-	if c.Target == 0 {
-		c.Target = core.NF3
-	}
-	if c.MaxDivergences <= 0 {
-		c.MaxDivergences = 16
-	}
-	return c
+// DefaultConfig is the configuration mafuzz and the tests run with.
+func DefaultConfig() Config {
+	return Config{Models: switches.ModelNames(), OracleExhaustive: 4096, OracleSample: 128}
 }

@@ -3,42 +3,23 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"manorm/internal/mat"
 	"manorm/internal/packet"
 )
 
-// GenConfig bounds the generator. The defaults are sized so that one
-// program's full differential execution (all variants × all models ×
-// oracle) stays in the low milliseconds — mafuzz runs thousands of them.
-type GenConfig struct {
-	// MinFields/MaxFields bound the number of match columns.
-	MinFields, MaxFields int
-	// MaxExtraActions bounds the header-rewriting actions added besides
-	// the always-present "out".
-	MaxExtraActions int
-	// MaxEntries bounds the entry count (before deduplication).
-	MaxEntries int
-	// MinPackets/MaxPackets bound the input batch.
-	MinPackets, MaxPackets int
-	// PlantActionFD switches the generator into caveat mode: the table is
-	// shaped like the paper's Fig. 3 — an action column whose value
-	// functionally determines a match field, without the remaining match
-	// columns determining the action. Decomposing along that dependency
-	// is exactly what Theorem 1 forbids; PlantCaveat builds the forbidden
-	// pipeline from it.
-	PlantActionFD bool
-}
-
-// DefaultGenConfig returns the standard fuzzing envelope.
-func DefaultGenConfig() GenConfig {
-	return GenConfig{
-		MinFields: 2, MaxFields: 4,
-		MaxExtraActions: 2,
-		MaxEntries:      12,
-		MinPackets:      8, MaxPackets: 20,
-	}
-}
+// The generator's envelope, sized so that one program's full
+// differential check (all variants × all models × oracle) stays in the
+// low milliseconds — mafuzz runs thousands of them: 2–4 match columns,
+// up to 2 rewriting actions besides the always-present "out", up to 12
+// entries before deduplication and 8–20 packets.
+const (
+	minFields, maxFields   = 2, 4
+	maxExtraActions        = 2
+	maxEntries             = 12
+	minPackets, maxPackets = 8, 20
+)
 
 // attrSpec is one choosable schema attribute.
 type attrSpec struct {
@@ -72,82 +53,46 @@ var actionPool = []attrSpec{
 	{name: "mod_dmac", width: 48, target: packet.FieldEthDst},
 }
 
-// mask returns the low-width-bits mask.
-func mask(width uint8) uint64 {
-	if width >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << width) - 1
-}
+// mask returns the low-width-bits mask; prefixMask selects the top plen
+// bits of a width-bit value.
+func mask(width uint8) uint64 { return 1<<width - 1 }
 
-// prefixMask selects the top plen bits of a width-bit value.
-func prefixMask(plen, width uint8) uint64 {
-	if plen == 0 {
-		return 0
-	}
-	if plen > width {
-		plen = width
-	}
-	return mask(width) &^ mask(width-plen)
-}
+func prefixMask(plen, width uint8) uint64 { return mask(width) &^ mask(width-min(plen, width)) }
 
 // cellPool builds a pool of pairwise-disjoint match patterns for one
 // column, mixing exact values with prefixes of varying length.
-//
-// Disjointness per column is a deliberate soundness constraint, not a
-// simplification: the OVS megaflow cache (see the trace-soundness note in
-// internal/dataplane) is only exact for tables whose per-column patterns
-// are pairwise disjoint or equal, and under that discipline two entries
-// overlap iff their match rows are identical — so a deduplicated table
-// can never hit the runtime ambiguity error. Clean programs therefore
-// execute everywhere without caveats; ambiguity is reserved for the
-// deliberately planted Fig. 3 reproducers.
+// Disjointness is a soundness constraint: the OVS megaflow cache (see the
+// trace-soundness note in internal/dataplane) is exact only for tables
+// whose per-column patterns are pairwise disjoint or equal, and then two
+// entries overlap iff their match rows are identical, so a deduplicated
+// table never hits the ambiguity error the Fig. 3 plants are for.
 func cellPool(rng *rand.Rand, width uint8, minCells int, allowWildcard bool) []mat.Cell {
 	if allowWildcard && rng.Float64() < 0.15 {
 		return []mat.Cell{mat.Any()}
 	}
 	n := minCells + rng.Intn(4)
-	if n < minCells {
-		n = minCells
-	}
 	var cells []mat.Cell
 	for tries := 0; len(cells) < n && tries < 8*n; tries++ {
-		span := uint8(8)
-		if span > width {
-			span = width
-		}
-		plen := width - uint8(rng.Intn(int(span)))
+		plen := width - uint8(rng.Intn(int(min(8, width))))
 		if rng.Float64() < 0.5 {
 			plen = width // bias toward exact matches
 		}
-		c := mat.Prefix(rng.Uint64(), plen, width)
-		disjoint := true
-		for _, o := range cells {
-			if c.Overlaps(o, width) {
-				disjoint = false
-				break
-			}
-		}
-		if disjoint {
-			cells = append(cells, c)
-		}
+		cells = addDisjoint(cells, mat.Prefix(rng.Uint64(), plen, width), width)
 	}
 	// Top up with sequential exact values if random draws kept colliding,
 	// so minCells is a guarantee, not a hope.
 	for v := uint64(0); len(cells) < minCells; v++ {
-		c := mat.Exact(v, width)
-		disjoint := true
-		for _, o := range cells {
-			if c.Overlaps(o, width) {
-				disjoint = false
-				break
-			}
-		}
-		if disjoint {
-			cells = append(cells, c)
-		}
+		cells = addDisjoint(cells, mat.Exact(v, width), width)
 	}
 	return cells
+}
+
+// addDisjoint appends c to cells unless it overlaps one of them.
+func addDisjoint(cells []mat.Cell, c mat.Cell, width uint8) []mat.Cell {
+	if slices.ContainsFunc(cells, func(o mat.Cell) bool { return c.Overlaps(o, width) }) {
+		return cells
+	}
+	return append(cells, c)
 }
 
 // distinctValue draws an exact width-bit value not yet in used, marking
@@ -166,18 +111,15 @@ func distinctValue(rng *rand.Rand, width uint8, used map[uint64]bool) uint64 {
 // table with planted field→action dependencies (so the normalizer has
 // structure to decompose) and a packet batch biased toward the installed
 // entries. The same seed and config always produce the same program.
-func Generate(seed int64, cfg GenConfig) *Program {
+func Generate(seed int64) *Program {
 	rng := rand.New(rand.NewSource(seed))
-	if cfg.PlantActionFD {
-		return generateCaveat(seed, rng, cfg)
-	}
 
 	// Schema: nf match fields, "out", and extra rewriting actions whose
 	// target field is not itself matched (a set-field into a field a
 	// later stage re-matches would change the match result mid-pipeline —
 	// real switches behave that way, the relational semantics does not;
 	// see the hazard reproducer in testdata/corpus).
-	nf := cfg.MinFields + rng.Intn(cfg.MaxFields-cfg.MinFields+1)
+	nf := minFields + rng.Intn(maxFields-minFields+1)
 	perm := rng.Perm(len(fieldPool))
 	fields := make([]attrSpec, nf)
 	matched := make(map[string]bool, nf)
@@ -188,7 +130,7 @@ func Generate(seed int64, cfg GenConfig) *Program {
 	acts := []attrSpec{{name: "out", width: 16}}
 	for _, i := range rng.Perm(len(actionPool)) {
 		a := actionPool[i]
-		if len(acts)-1 >= cfg.MaxExtraActions || matched[a.target] {
+		if len(acts)-1 >= maxExtraActions || matched[a.target] {
 			continue
 		}
 		if rng.Float64() < 0.5 {
@@ -196,23 +138,28 @@ func Generate(seed int64, cfg GenConfig) *Program {
 		}
 	}
 
-	sch := make(mat.Schema, 0, nf+len(acts))
+	t := genTable(rng, fmt.Sprintf("fuzz%d", seed), fields, acts)
+	return &Program{Seed: seed, Note: fmt.Sprintf("gen(seed=%d)", seed), Table: t, Packets: genPackets(rng, t)}
+}
+
+// genTable fills a universal table over the given match fields and
+// actions. Entries cluster on fields[0]'s cell, and a random subset of the
+// actions is constant per group — planting {fields[0]} → {actions...}
+// dependencies for the normalizer to find.
+func genTable(rng *rand.Rand, name string, fields, acts []attrSpec) *mat.Table {
+	sch := make(mat.Schema, 0, len(fields)+len(acts))
 	for _, f := range fields {
 		sch = append(sch, mat.F(f.name, f.width))
 	}
 	for _, a := range acts {
 		sch = append(sch, mat.A(a.name, a.width))
 	}
-	t := mat.New(fmt.Sprintf("fuzz%d", seed), sch)
+	t := mat.New(name, sch)
 
-	pools := make([][]mat.Cell, nf)
+	pools := make([][]mat.Cell, len(fields))
 	for i, f := range fields {
 		pools[i] = cellPool(rng, f.width, 2, true)
 	}
-
-	// Group structure: entries cluster on fields[0]'s cell, and a random
-	// subset of the actions is constant per group — planting
-	// {fields[0]} → {actions...} dependencies for the normalizer to find.
 	G := 1 + rng.Intn(min(3, len(pools[0])))
 	determined := make([]bool, len(acts))
 	for ai := range acts {
@@ -230,13 +177,13 @@ func Generate(seed int64, cfg GenConfig) *Program {
 		}
 	}
 
-	ne := 2 + rng.Intn(cfg.MaxEntries-1)
+	ne := 2 + rng.Intn(maxEntries-1)
 	seen := make(map[string]bool, ne)
 	for k := 0; k < ne; k++ {
 		g := rng.Intn(G)
 		cells := make([]mat.Cell, 0, len(sch))
 		cells = append(cells, pools[0][g])
-		for fi := 1; fi < nf; fi++ {
+		for fi := 1; fi < len(fields); fi++ {
 			cells = append(cells, pools[fi][rng.Intn(len(pools[fi]))])
 		}
 		key := fmt.Sprint(cells)
@@ -254,50 +201,7 @@ func Generate(seed int64, cfg GenConfig) *Program {
 		t.Add(cells...)
 	}
 	dropAmbiguous(t)
-
-	return &Program{
-		Seed:    seed,
-		Note:    fmt.Sprintf("gen(seed=%d)", seed),
-		Table:   t,
-		Packets: genPackets(rng, t, cfg),
-	}
-}
-
-// generateCaveat builds a Fig. 3-shaped program: two match columns whose
-// cross product carries a per-entry-distinct "out", so {out} → {field}
-// holds while neither match column alone determines out. A couple of
-// noise entries in a third group give the shrinker something to chew on.
-func generateCaveat(seed int64, rng *rand.Rand, cfg GenConfig) *Program {
-	perm := rng.Perm(len(fieldPool))
-	f0, f1 := fieldPool[perm[0]], fieldPool[perm[1]]
-	sch := mat.Schema{
-		mat.F(f0.name, f0.width),
-		mat.F(f1.name, f1.width),
-		mat.A("out", 16),
-	}
-	t := mat.New(fmt.Sprintf("fuzz%d", seed), sch)
-	pool0 := cellPool(rng, f0.width, 3, false)
-	pool1 := cellPool(rng, f1.width, 2, false)
-
-	used := make(map[uint64]bool)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			t.Add(pool0[i], pool1[j], mat.Exact(distinctValue(rng, 16, used), 16))
-		}
-	}
-	for k := 0; k < 1+rng.Intn(2) && len(pool0) > 2; k++ {
-		t.Add(pool0[2], pool1[rng.Intn(len(pool1))],
-			mat.Exact(distinctValue(rng, 16, used), 16))
-	}
-	dropAmbiguous(t)
-
-	return &Program{
-		Seed:    seed,
-		Note:    fmt.Sprintf("fig3-caveat(seed=%d)", seed),
-		Caveat:  true,
-		Table:   t,
-		Packets: genPackets(rng, t, cfg),
-	}
+	return t
 }
 
 // dropAmbiguous removes entries until no ambiguous pair remains. Under
@@ -319,8 +223,8 @@ func dropAmbiguous(t *mat.Table) {
 // the dataplane agree on field presence), with values biased into the
 // table's match patterns and round-tripped through Marshal/Parse so the
 // wire frame and the in-memory packet are byte-for-byte consistent.
-func genPackets(rng *rand.Rand, t *mat.Table, cfg GenConfig) []*packet.Packet {
-	np := cfg.MinPackets + rng.Intn(cfg.MaxPackets-cfg.MinPackets+1)
+func genPackets(rng *rand.Rand, t *mat.Table) []*packet.Packet {
+	np := minPackets + rng.Intn(maxPackets-minPackets+1)
 	pkts := make([]*packet.Packet, 0, np)
 	fieldIdx := t.Schema.Fields()
 	for i := 0; i < np; i++ {
@@ -340,13 +244,7 @@ func genPackets(rng *rand.Rand, t *mat.Table, cfg GenConfig) []*packet.Packet {
 			DstPort: uint16(rng.Uint64()),
 		}
 		for _, fi := range fieldIdx {
-			a := t.Schema[fi]
-			v := rng.Uint64() & mask(a.Width)
-			if len(t.Entries) > 0 && rng.Float64() < 0.85 {
-				c := t.Entries[rng.Intn(len(t.Entries))][fi]
-				v = c.Bits | (rng.Uint64() & (mask(a.Width) &^ prefixMask(c.PLen, a.Width)))
-			}
-			p.SetField(a.Name, v)
+			p.SetField(t.Schema[fi].Name, biased(rng, t, fi))
 		}
 		// Round-trip: the parsed frame is the packet of record, so the
 		// switch models (which parse wire bytes) and the relational
@@ -358,4 +256,16 @@ func genPackets(rng *rand.Rand, t *mat.Table, cfg GenConfig) []*packet.Packet {
 		pkts = append(pkts, &q)
 	}
 	return pkts
+}
+
+// biased draws a value for match column fi, mostly inside the pattern of
+// a random entry.
+func biased(rng *rand.Rand, t *mat.Table, fi int) uint64 {
+	w := t.Schema[fi].Width
+	v := rng.Uint64() & mask(w)
+	if len(t.Entries) > 0 && rng.Float64() < 0.85 {
+		c := t.Entries[rng.Intn(len(t.Entries))][fi]
+		v = c.Bits | (rng.Uint64() & (mask(w) &^ prefixMask(c.PLen, w)))
+	}
+	return v
 }

@@ -12,11 +12,11 @@ import (
 // programs — the whole corpus/replay design depends on it.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		a, err := MarshalCorpus(Generate(seed, DefaultGenConfig()), "")
+		a, err := MarshalCorpus(Generate(seed), Property{}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := MarshalCorpus(Generate(seed, DefaultGenConfig()), "")
+		b, err := MarshalCorpus(Generate(seed), Property{}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // frame-level executors see the same values).
 func TestGenerateWellFormed(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
-		p := Generate(seed, DefaultGenConfig())
+		p := Generate(seed)
 		if err := p.Table.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -65,7 +65,7 @@ func TestGenerateWellFormed(t *testing.T) {
 func TestGenerateDecomposable(t *testing.T) {
 	multi := 0
 	for seed := int64(1); seed <= 30; seed++ {
-		p := Generate(seed, DefaultGenConfig())
+		p := Generate(seed)
 		vs, err := core.Variants(p.Table, core.NF3)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -87,7 +87,7 @@ func TestGenerateDecomposable(t *testing.T) {
 // never in the original.
 func TestGenerateCaveatShape(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		p, err := PlantCaveat(seed, DefaultGenConfig())
+		p, err := PlantCaveat(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -4,31 +4,24 @@ import (
 	"fmt"
 	"math/rand"
 
-	"manorm/internal/mat"
 	"manorm/internal/packet"
 )
 
-// This file is the schema-mode generator: instead of drawing match
-// columns from the fixed canonical field set, it invents a random header
-// schema and a chain-shaped parse graph, writes the universal table
-// against the invented fields, and renders the input batch as wire frames
-// through the compiled decoder. Theorem 1 does not care what the fields
-// are called or how wide they are — so every representation of a clean
-// schema program must still agree, now with the parser in the loop.
+// This file is the Schemas generator: it invents a header schema and a
+// chain-shaped parse graph, writes the universal table against the
+// invented fields and renders the batch as wire frames. Theorem 1 does not
+// care what the fields are called or how wide they are, so every
+// representation must still agree, now with the parser in the loop.
 
-// schemaShape is one invented schema plus the bookkeeping the generator
-// needs: which fields steer the parse (and are therefore pinned in every
-// generated frame) and which are free for matching and rewriting.
+// schemaShape is one invented schema plus what the generator needs: the
+// select value pinned per steering field, so every frame parses the whole
+// chain, and the free fields, available as match columns or rewrite
+// targets.
 type schemaShape struct {
 	graph *packet.ParseGraph
 	dec   *packet.Decoder
-	// selVals[i] is the value the i-th chain transition keys on; frames
-	// carry it so the whole chain parses.
-	selNames []string
-	selVals  []uint64
-	// free lists the fields available as match columns or rewrite
-	// targets: everything except select fields and padding.
-	free []attrSpec
+	pins  map[string]uint64
+	free  []attrSpec
 }
 
 // genSchemaShape invents a 2–4 header chain. Each header gets 1–3 random
@@ -37,10 +30,12 @@ type schemaShape struct {
 // transition. All invented schemas parse every well-formed frame to the
 // full chain, so presence is total and the relational record covers every
 // field — mirroring the full-stack discipline of the canonical generator.
-func genSchemaShape(seed int64, rng *rand.Rand) (*schemaShape, error) {
+// Shape generation is total over the parameter space: an error is a
+// programming bug, and the fuzz target should see it loudly.
+func genSchemaShape(seed int64, rng *rand.Rand) *schemaShape {
 	nh := 2 + rng.Intn(3)
 	headers := make([]packet.Header, 0, nh)
-	shape := &schemaShape{}
+	shape := &schemaShape{pins: make(map[string]uint64)}
 	for h := 0; h < nh; h++ {
 		nf := 1 + rng.Intn(3)
 		bits := 0
@@ -50,6 +45,9 @@ func genSchemaShape(seed int64, rng *rand.Rand) (*schemaShape, error) {
 			fs = append(fs, packet.FieldSpec{Name: fmt.Sprintf("h%df%d", h, f), Width: w})
 			bits += int(w)
 		}
+		for _, f := range fs[min(1, nh-1-h):] { // all but a non-terminal header's select
+			shape.free = append(shape.free, attrSpec{name: f.Name, width: f.Width, target: f.Name})
+		}
 		if pad := (8 - bits%8) % 8; pad > 0 {
 			fs = append(fs, packet.FieldSpec{Name: fmt.Sprintf("h%dpad", h), Width: uint8(pad)})
 		}
@@ -57,175 +55,68 @@ func genSchemaShape(seed int64, rng *rand.Rand) (*schemaShape, error) {
 	}
 	schema, err := packet.NewHeaderSchema(fmt.Sprintf("fuzzschema%d", seed), headers...)
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("difftest: schema shape for seed %d: %v", seed, err))
 	}
-	states := make(map[string]packet.State, nh)
+	states := map[string]packet.State{headers[nh-1].Name: {}}
 	for h := 0; h < nh-1; h++ {
 		sel := headers[h].Fields[0]
-		v := rng.Uint64() & mask(sel.Width)
-		shape.selNames = append(shape.selNames, sel.Name)
-		shape.selVals = append(shape.selVals, v)
-		states[headers[h].Name] = packet.State{
-			Select:      sel.Name,
-			Transitions: []packet.Transition{{Value: v, Next: headers[h+1].Name}},
-		}
+		shape.pins[sel.Name] = rng.Uint64() & mask(sel.Width)
+		states[headers[h].Name] = packet.State{Select: sel.Name, Transitions: []packet.Transition{{Value: shape.pins[sel.Name], Next: headers[h+1].Name}}}
 	}
-	states[headers[nh-1].Name] = packet.State{}
 	shape.graph = &packet.ParseGraph{Schema: schema, Start: headers[0].Name, States: states}
 	if shape.dec, err = shape.graph.Compile(); err != nil {
-		return nil, err
+		panic(fmt.Sprintf("difftest: schema shape for seed %d: %v", seed, err))
 	}
-	sel := make(map[string]bool, len(shape.selNames))
-	for _, n := range shape.selNames {
-		sel[n] = true
-	}
-	for h, hdr := range headers {
-		for fi, f := range hdr.Fields {
-			if sel[f.Name] || f.Name == fmt.Sprintf("h%dpad", h) {
-				continue
-			}
-			_ = fi
-			shape.free = append(shape.free, attrSpec{name: f.Name, width: f.Width, target: f.Name})
-		}
-	}
-	return shape, nil
+	return shape
 }
 
-// GenerateSchema produces one seeded, deterministic schema-mode program:
-// an invented header schema and parse graph, a 1NF universal table over
-// its free fields (with the same group structure as Generate, so the
+// GenerateSchema produces one seeded, deterministic Schemas input: an
+// invented header schema and parse graph, a 1NF universal table over its
+// free fields (with the same group structure as Generate, so the
 // normalizer has dependencies to find), and a frame batch rendered
 // through the decoder with the chain's select values pinned. The table's
 // provenance is the schema name, so every compiled layer type-checks the
 // program against the right decoder.
-func GenerateSchema(seed int64, cfg GenConfig) *Program {
+func GenerateSchema(seed int64) *Program {
 	rng := rand.New(rand.NewSource(seed))
-	shape, err := genSchemaShape(seed, rng)
-	if err != nil {
-		// Shape generation is total over the parameter space; an error is
-		// a programming bug, and the fuzz target should see it loudly.
-		panic(fmt.Sprintf("difftest: schema shape for seed %d: %v", seed, err))
-	}
-
-	nf := cfg.MinFields + rng.Intn(cfg.MaxFields-cfg.MinFields+1)
-	if nf > len(shape.free) {
-		nf = len(shape.free)
-	}
-	if nf < 1 {
-		nf = 1
-	}
+	shape := genSchemaShape(seed, rng)
+	nf := max(1, min(minFields+rng.Intn(maxFields-minFields+1), len(shape.free)))
 	perm := rng.Perm(len(shape.free))
 	fields := make([]attrSpec, nf)
-	matched := make(map[string]bool, nf)
-	for i := 0; i < nf; i++ {
+	for i := range fields {
 		fields[i] = shape.free[perm[i]]
-		matched[fields[i].name] = true
 	}
 	acts := []attrSpec{{name: "out", width: 16}}
 	for _, i := range perm[nf:] {
-		f := shape.free[i]
-		if len(acts)-1 >= cfg.MaxExtraActions {
+		if len(acts)-1 >= maxExtraActions {
 			break
 		}
-		if rng.Float64() < 0.5 {
+		if f := shape.free[i]; rng.Float64() < 0.5 {
 			acts = append(acts, attrSpec{name: "mod_" + f.name, width: f.width, target: f.name})
 		}
 	}
-
-	sch := make(mat.Schema, 0, nf+len(acts))
-	for _, f := range fields {
-		sch = append(sch, mat.F(f.name, f.width))
-	}
-	for _, a := range acts {
-		sch = append(sch, mat.A(a.name, a.width))
-	}
-	t := mat.New(fmt.Sprintf("fuzzschema%d", seed), sch)
+	t := genTable(rng, fmt.Sprintf("fuzzschema%d", seed), fields, acts)
 	t.Provenance = shape.graph.Schema.Name
 
-	pools := make([][]mat.Cell, nf)
-	for i, f := range fields {
-		pools[i] = cellPool(rng, f.width, 2, true)
-	}
-	G := 1 + rng.Intn(min(3, len(pools[0])))
-	determined := make([]bool, len(acts))
-	for ai := range acts {
-		p := 0.6
-		if ai == 0 {
-			p = 0.5
-		}
-		determined[ai] = rng.Float64() < p
-	}
-	groupActs := make([][]uint64, G)
-	for g := 0; g < G; g++ {
-		groupActs[g] = make([]uint64, len(acts))
-		for ai, a := range acts {
-			groupActs[g][ai] = rng.Uint64() & mask(a.width)
-		}
-	}
-	ne := 2 + rng.Intn(cfg.MaxEntries-1)
-	seen := make(map[string]bool, ne)
-	for k := 0; k < ne; k++ {
-		g := rng.Intn(G)
-		cells := make([]mat.Cell, 0, len(sch))
-		cells = append(cells, pools[0][g])
-		for fi := 1; fi < nf; fi++ {
-			cells = append(cells, pools[fi][rng.Intn(len(pools[fi]))])
-		}
-		key := fmt.Sprint(cells)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		for ai, a := range acts {
-			v := rng.Uint64() & mask(a.width)
-			if determined[ai] {
-				v = groupActs[g][ai]
-			}
-			cells = append(cells, mat.Exact(v, a.width))
-		}
-		t.Add(cells...)
-	}
-	dropAmbiguous(t)
-
-	return &Program{
-		Seed:   seed,
-		Note:   fmt.Sprintf("genschema(seed=%d)", seed),
-		Table:  t,
-		Graph:  shape.graph,
-		Frames: genSchemaFrames(rng, shape, t, cfg),
-	}
-}
-
-// genSchemaFrames renders the input batch: full-chain frames with the
-// select values pinned, matched fields biased into the table's patterns,
-// and everything round-tripped through Marshal so the replayed bytes are
-// exactly what the executors parse.
-func genSchemaFrames(rng *rand.Rand, shape *schemaShape, t *mat.Table, cfg GenConfig) [][]byte {
-	np := cfg.MinPackets + rng.Intn(cfg.MaxPackets-cfg.MinPackets+1)
+	// Frames: full chains with the select values pinned and matched fields
+	// biased into the table's patterns, marshaled so the replayed bytes
+	// are exactly what the executors parse.
+	np := minPackets + rng.Intn(maxPackets-minPackets+1)
 	frames := make([][]byte, 0, np)
 	view := shape.dec.NewView()
-	schema := shape.dec.Schema()
-	fieldIdx := t.Schema.Fields()
 	for i := 0; i < np; i++ {
 		view.Reset()
 		for h := range shape.graph.Schema.Headers {
 			view.MarkPresent(h)
 		}
-		// Random base values everywhere, then pins and biases on top.
-		for s := 0; s < schema.NumSlots(); s++ {
+		for s := 0; s < shape.dec.Schema().NumSlots(); s++ {
 			view.Set(s, rng.Uint64())
 		}
-		for si, n := range shape.selNames {
-			view.SetName(n, shape.selVals[si])
+		for name, v := range shape.pins {
+			view.SetName(name, v)
 		}
-		for _, fi := range fieldIdx {
-			a := t.Schema[fi]
-			v := rng.Uint64() & mask(a.Width)
-			if len(t.Entries) > 0 && rng.Float64() < 0.85 {
-				c := t.Entries[rng.Intn(len(t.Entries))][fi]
-				v = c.Bits | (rng.Uint64() & (mask(a.Width) &^ prefixMask(c.PLen, a.Width)))
-			}
-			view.SetName(a.Name, v)
+		for _, fi := range t.Schema.Fields() {
+			view.SetName(t.Schema[fi].Name, biased(rng, t, fi))
 		}
 		if rng.Float64() < 0.3 {
 			view.SetPayload([]byte{byte(i), 0xde, 0xad})
@@ -234,89 +125,5 @@ func genSchemaFrames(rng *rand.Rand, shape *schemaShape, t *mat.Table, cfg GenCo
 		}
 		frames = append(frames, view.Marshal(nil))
 	}
-	return frames
-}
-
-// PlantSchemaHazard is the schema-mode twin of PlantRematchHazard: a
-// VXLAN program matching the VNI and carrying a mod_vxlan_vni rewrite
-// whose values lie outside every matched VNI. {vxlan_vni} →
-// {mod_vxlan_vni} holds, so the normalizer's rematch decomposition is
-// legal and relationally equivalent — but the dep-first rematch stage has
-// already rewritten the VNI the rest stage re-matches, so every compiled
-// executor drops the traffic. Kind "verdict" with clean relational and
-// oracle layers, now reproduced through the programmable parser.
-func PlantSchemaHazard(seed int64) (*Program, error) {
-	rng := rand.New(rand.NewSource(seed))
-	graph, err := packet.BuiltinGraph(packet.SchemaVXLAN)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := graph.Compile()
-	if err != nil {
-		return nil, err
-	}
-	sch := mat.Schema{
-		mat.F(packet.FieldVXLANVNI, 24),
-		mat.F(packet.FieldInnerEthDst, 48),
-		mat.A("mod_"+packet.FieldVXLANVNI, 24),
-		mat.A("out", 16),
-	}
-	t := mat.New(fmt.Sprintf("schemahazard%d", seed), sch)
-	t.Provenance = packet.SchemaVXLAN
-
-	used24 := make(map[uint64]bool)
-	used48 := make(map[uint64]bool)
-	used16 := make(map[uint64]bool)
-	var vni, mod [2]uint64
-	var mac [2]uint64
-	for i := range vni {
-		vni[i] = distinctValue(rng, 24, used24)
-		mac[i] = distinctValue(rng, 48, used48)
-	}
-	for i := range mod {
-		mod[i] = distinctValue(rng, 24, used24) // disjoint from matched VNIs
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			t.Add(
-				mat.Exact(vni[i], 24),
-				mat.Exact(mac[j], 48),
-				mat.Exact(mod[i], 24),
-				mat.Exact(distinctValue(rng, 16, used16), 16),
-			)
-		}
-	}
-
-	// Frames: the four installed (vni, mac) pairs plus one miss.
-	view := dec.NewView()
-	var frames [][]byte
-	emit := func(v, m uint64) {
-		view.Reset()
-		for h := range dec.Schema().Headers {
-			view.MarkPresent(h)
-		}
-		view.SetName(packet.FieldEthType, packet.EtherTypeIPv4)
-		view.SetName("ip_verihl", 0x45)
-		view.SetName("ip_ttl", 64)
-		view.SetName("ip_proto", packet.ProtoUDP)
-		view.SetName("udp_dst", packet.UDPPortVXLAN)
-		view.SetName("vxlan_flags", 0x08)
-		view.SetName(packet.FieldVXLANVNI, v)
-		view.SetName(packet.FieldInnerEthDst, m)
-		frames = append(frames, view.Marshal(nil))
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			emit(vni[i], mac[j])
-		}
-	}
-	emit(distinctValue(rng, 24, used24), mac[0])
-
-	return &Program{
-		Seed:   seed,
-		Note:   fmt.Sprintf("schema-rematch-hazard(seed=%d)", seed),
-		Table:  t,
-		Graph:  graph,
-		Frames: frames,
-	}, nil
+	return &Program{Seed: seed, Note: fmt.Sprintf("genschema(seed=%d)", seed), Table: t, Graph: shape.graph, Frames: frames}
 }

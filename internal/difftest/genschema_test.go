@@ -10,14 +10,9 @@ import (
 // parser, must agree on invented header schemas exactly as on the
 // canonical one.
 func TestGenerateSchemaClean(t *testing.T) {
-	cfg := fuzzExecConfig()
 	for seed := int64(1); seed <= 6; seed++ {
-		p := GenerateSchema(seed, DefaultGenConfig())
-		divs, err := Execute(p, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if len(divs) > 0 {
+		p := GenerateSchema(seed)
+		if divs := check(t, p, shapeProps(Schemas), fuzzConfig()); len(divs) > 0 {
 			t.Fatalf("seed %d diverged: %v\n%s", seed, divs, p.Table)
 		}
 	}
@@ -27,8 +22,8 @@ func TestGenerateSchemaClean(t *testing.T) {
 // schema, table and frame bytes — replayability is what makes a corpus
 // seed meaningful.
 func TestGenerateSchemaDeterministic(t *testing.T) {
-	a := GenerateSchema(42, DefaultGenConfig())
-	b := GenerateSchema(42, DefaultGenConfig())
+	a := GenerateSchema(42)
+	b := GenerateSchema(42)
 	if !a.Table.Equal(b.Table) {
 		t.Fatalf("tables differ across identical seeds:\n%s\n%s", a.Table, b.Table)
 	}
@@ -51,13 +46,8 @@ func TestSchemaHazardSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.SchemaMode() {
-		t.Fatal("planted schema hazard is not in schema mode")
-	}
-	divs, err := Execute(p, DefaultExecConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	props := []Property{prop(t, "schema-relational"), prop(t, "schema-oracle"), prop(t, "schema-forwarding")}
+	divs := check(t, p, props, DefaultConfig())
 	if len(divs) == 0 {
 		t.Fatalf("schema hazard program did not diverge:\n%s", p.Table)
 	}
@@ -82,25 +72,15 @@ func TestSchemaHazardShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fuzzExecConfig()
-	s := Shrink(p, cfg)
+	fwd := prop(t, "schema-forwarding")
+	s := Shrink(p, fwd, KindVerdict, fuzzConfig())
 	if s.Graph == nil || len(s.Frames) == 0 {
-		t.Fatalf("shrink lost schema mode: graph=%v frames=%d", s.Graph != nil, len(s.Frames))
+		t.Fatalf("shrink lost the schema input: graph=%v frames=%d", s.Graph != nil, len(s.Frames))
 	}
 	if s.Size() > p.Size() {
 		t.Fatalf("shrink grew the program: %d -> %d", p.Size(), s.Size())
 	}
-	divs, err := Execute(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, d := range divs {
-		if d.Kind == KindVerdict {
-			found = true
-		}
-	}
-	if !found {
+	if divs := check(t, s, []Property{fwd}, fuzzConfig()); !Reproduces(divs, KindVerdict) {
 		t.Fatalf("shrunk program lost the verdict divergence: %v", divs)
 	}
 }
@@ -108,20 +88,20 @@ func TestSchemaHazardShrinks(t *testing.T) {
 // TestSchemaCorpusRoundTrip: a schema-mode reproducer must carry its parse
 // graph through the JSON corpus format and replay byte-identically.
 func TestSchemaCorpusRoundTrip(t *testing.T) {
-	p := GenerateSchema(9, DefaultGenConfig())
-	b, err := MarshalCorpus(p, KindVerdict)
+	p := GenerateSchema(9)
+	b, err := MarshalCorpus(p, prop(t, "schema-forwarding"), KindVerdict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, kind, err := UnmarshalCorpus(b)
+	_, q, kind, err := UnmarshalCorpus(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kind != KindVerdict {
 		t.Fatalf("kind %q, want %q", kind, KindVerdict)
 	}
-	if !q.SchemaMode() {
-		t.Fatal("schema mode lost across round trip")
+	if q.Graph == nil {
+		t.Fatal("parse graph lost across round trip")
 	}
 	if q.Graph.Schema.Name != p.Graph.Schema.Name {
 		t.Fatalf("schema name %q, want %q", q.Graph.Schema.Name, p.Graph.Schema.Name)
@@ -140,11 +120,7 @@ func TestSchemaCorpusRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d changed across round trip", i)
 		}
 	}
-	divs, err := Execute(q, fuzzExecConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(divs) > 0 {
+	if divs := check(t, q, shapeProps(Schemas), fuzzConfig()); len(divs) > 0 {
 		t.Fatalf("round-tripped clean program diverged: %v", divs)
 	}
 }
@@ -157,14 +133,10 @@ func FuzzSchemaGenerated(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
 	}
-	cfg := fuzzExecConfig()
+	cfg, props := fuzzConfig(), shapeProps(Schemas)
 	f.Fuzz(func(t *testing.T, seed int64) {
-		p := GenerateSchema(seed, DefaultGenConfig())
-		divs, err := Execute(p, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if len(divs) > 0 {
+		p := GenerateSchema(seed)
+		if divs := check(t, p, props, cfg); len(divs) > 0 {
 			t.Fatalf("seed %d diverged: %v\n%s", seed, divs, p.Table)
 		}
 	})

@@ -1,9 +1,10 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"manorm/internal/core"
@@ -14,94 +15,104 @@ import (
 	"manorm/internal/switches"
 )
 
-// IncrementalRun counts the barriers one representation on one model went
-// through, so a caller can tell a clean run from one that never reached a
-// rejected barrier.
-type IncrementalRun struct {
-	Variant, Model               string
-	Barriers, Accepted, Rejected int
+// GenerateUpdates produces one seeded Updates input: a generated program
+// (see Generate) and 8 update rounds per representation; a rejected round
+// adds up to two more barriers (the unrelated batch and the repair).
+func GenerateUpdates(seed int64) *Program {
+	p := Generate(seed)
+	p.Steps = 8
+	return p
 }
 
-// ExecuteIncremental cross-checks the O(delta) barrier against its
-// from-scratch reference. The program's universal table and its fully
-// normalized metadata and goto pipelines (where normalization finds
-// structure) are each put behind an openflow.Agent on every model of
-// cfg.Models and driven through steps rounds of seeded add / modify /
-// delete batches — including batches the agent must reject, an unrelated
-// batch behind a rejected one, and the deletes that repair it. After
-// every barrier
-//
-//   - the commit's accept/reject verdict must be the one validating the
-//     whole logical pipeline and running AmbiguousPairs over every stage
-//     gives;
-//   - the incrementally updated switch must forward a packet sample (the
-//     program's batch plus packets aimed at the rows the batch touched),
-//     cold and cache-warm, exactly like a twin freshly Installed with the
-//     last accepted state;
-//   - both must report the same per-stage entry counts and templates.
-//
-// Any disagreement is a KindIncremental divergence.
-func ExecuteIncremental(p *Program, steps int, cfg ExecConfig) ([]Divergence, []IncrementalRun, error) {
-	if p == nil || p.Table == nil {
-		return nil, nil, fmt.Errorf("difftest: nil program")
+// decodeUpdates reads an Updates input: the packets its barriers are
+// checked on, and the step count.
+func decodeUpdates(f *corpusFile, p *Program) error {
+	if f.Steps < 1 {
+		return errors.New("an update stream needs at least one step")
 	}
-	cfg = cfg.withDefaults()
-	vs, err := core.Variants(p.Table, cfg.Target)
-	if err != nil {
-		return []Divergence{{Kind: KindConstruct, Variant: "variants", Packet: -1, Detail: err.Error()}}, nil, nil
-	}
+	p.Steps = f.Steps
+	return decodePackets(f, p)
+}
+
+// checkIncremental cross-checks the O(delta) barrier against its
+// from-scratch reference. The program's universal table and its metadata
+// and goto pipelines are each put behind an openflow.Agent on every
+// model and driven through Steps rounds of seeded add / modify / delete
+// batches — including batches the agent must reject, an unrelated batch
+// behind a rejected one, and the deletes that repair it. After every
+// barrier the commit's verdict must be the full check's (Validate plus
+// AmbiguousPairs on every stage), and the switch must forward a packet
+// sample (the program's batch plus packets aimed at the rows the batch
+// touched), cold and warm, and report its per-stage entry counts and
+// templates, exactly like a twin freshly Installed with the last
+// accepted state. Any disagreement is a KindIncremental divergence.
+func checkIncremental(c *Case) ([]Divergence, error) {
+	runs, err := incrementalRuns(c.Program, c.cfg)
 	var divs []Divergence
-	var runs []IncrementalRun
+	for _, r := range runs {
+		c.tally["barriers"] += r.barriers
+		c.tally["accepted"] += r.accepted
+		c.tally["rejected"] += r.rejected
+		divs = append(divs, r.divs...)
+	}
+	return divs, err
+}
+
+// incrementalRuns drives every representation on every model.
+func incrementalRuns(p *Program, cfg Config) ([]*incrementalRun, error) {
+	vs, err := core.Variants(p.Table, core.NF3)
+	if err != nil {
+		return []*incrementalRun{{divs: []Divergence{{Kind: KindIncremental, Variant: "variants", Packet: -1, Detail: err.Error()}}}}, nil
+	}
+	var runs []*incrementalRun
+	ndivs := 0
 	for _, v := range vs {
 		if v.Name != "universal" && !strings.HasSuffix(v.Name, "-metadata") && !strings.HasSuffix(v.Name, "-goto") {
 			continue
 		}
 		for mi, model := range cfg.Models {
-			run := &incrementalRun{
-				stats: IncrementalRun{Variant: v.Name, Model: model}, base: p.Packets,
-				rng: rand.New(rand.NewSource(p.Seed*131 + int64(mi))),
+			run := &incrementalRun{variant: v.Name, model: model, base: p.Packets, rng: rand.New(rand.NewSource(p.Seed*131 + int64(mi)))}
+			if err := run.drive(v.Pipeline.Clone(), p.Steps); err != nil {
+				return nil, err
 			}
-			if err := run.drive(v.Pipeline.Clone(), steps); err != nil {
-				return nil, nil, err
-			}
-			runs = append(runs, run.stats)
-			divs = append(divs, run.divs...)
-			if len(divs) >= cfg.MaxDivergences {
-				return divs, runs, nil
+			runs = append(runs, run)
+			if ndivs += len(run.divs); ndivs >= maxDivergences {
+				return runs, nil
 			}
 		}
 	}
-	return divs, runs, nil
+	return runs, nil
 }
 
 // incrementalRun is one representation on one model.
 type incrementalRun struct {
-	stats     IncrementalRun
-	base      []*packet.Packet
-	rng       *rand.Rand
-	sw        switches.Switch
-	worker    switches.Worker // lives across barriers, caches and all
-	agent     *openflow.Agent
-	live      *mat.Pipeline // the agent's logical pipeline
-	committed *mat.Pipeline // its state at the last accepted barrier
-	planted   []plantedRow  // since the last repair
-	divs      []Divergence
+	variant, model               string
+	barriers, accepted, rejected int
+	base                         []*packet.Packet
+	rng                          *rand.Rand
+	sw                           switches.Switch
+	worker                       switches.Worker // lives across barriers, caches and all
+	agent                        *openflow.Agent
+	live                         *mat.Pipeline      // the agent's logical pipeline
+	committed                    *mat.Pipeline      // its state at the last accepted barrier
+	planted                      []openflow.FlowMod // deletes of the rows plant added since the last repair
+	divs                         []Divergence
 }
 
 func (r *incrementalRun) diverge(format string, args ...any) {
 	r.divs = append(r.divs, Divergence{
-		Kind: KindIncremental, Variant: r.stats.Variant, Model: r.stats.Model, Packet: -1,
+		Kind: KindIncremental, Variant: r.variant, Model: r.model, Packet: -1,
 		Detail: fmt.Sprintf(format, args...),
 	})
 }
 
 func (r *incrementalRun) drive(live *mat.Pipeline, steps int) error {
 	var err error
-	if r.sw, err = switches.New(r.stats.Model); err != nil {
+	if r.sw, err = switches.New(r.model); err != nil {
 		return err
 	}
 	if r.agent, err = openflow.NewAgent(r.sw, live); err != nil {
-		return fmt.Errorf("difftest: %s@%s: %w", r.stats.Variant, r.stats.Model, err)
+		return fmt.Errorf("difftest: %s@%s: %w", r.variant, r.model, err)
 	}
 	r.worker = r.sw.NewWorker()
 	r.live, r.committed = live, live.Clone()
@@ -135,19 +146,19 @@ func (r *incrementalRun) barrier(when string, batch []openflow.FlowMod) bool {
 		_ = r.agent.ApplyFlowMod(&batch[i])
 	}
 	got, want := r.agent.Commit(), fullVerdict(r.live)
-	r.stats.Barriers++
+	r.barriers++
 	if (got == nil) != (want == nil) {
 		r.diverge("%s: commit returned %v, the full check %v", when, got, want)
 		return got == nil
 	}
 	if got == nil {
-		r.stats.Accepted++
+		r.accepted++
 		r.committed = r.live.Clone()
 	} else {
-		r.stats.Rejected++
+		r.rejected++
 	}
 
-	twin, err := switches.New(r.stats.Model)
+	twin, err := switches.New(r.model)
 	if err == nil {
 		err = twin.Install(r.committed)
 	}
@@ -205,14 +216,14 @@ func shapeOf(sw switches.Switch, stages int) string {
 	if t, ok := sw.(interface{ Templates() []string }); ok {
 		fmt.Fprintf(&b, "templates=%v ", t.Templates())
 	}
+	var names []string
 	gauges := sw.Stats().Gauges
-	names := make([]string, 0, len(gauges))
 	for name := range gauges {
 		if strings.HasPrefix(name, "tcam_") {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		fmt.Fprintf(&b, "%s=%v ", name, gauges[name])
 	}
@@ -220,14 +231,12 @@ func shapeOf(sw switches.Switch, stages int) string {
 }
 
 // stageBatch draws a batch against one stage with the confluence
-// generator — from the committed state, so that planted rows a rejected
-// barrier left pending never lend their cells to a row that stays: the
-// generators' disjoint-or-equal column discipline is what keeps the OVS
-// megaflow cache exact, and it has to hold for every state a switch
-// forwards on with caches that an earlier barrier's packets warmed.
-// Most goto targets and metadata tags are then reset to values the column
-// already carries: a random 16-bit goto target is out of range nearly
-// always, and every barrier would be a rejection.
+// generator — from the committed state, so that rows a rejected barrier
+// left pending never lend their cells to a row that stays: the
+// disjoint-or-equal column discipline that keeps the OVS megaflow cache
+// exact must hold for every state a switch forwards on. Most goto targets
+// and metadata tags are reset to values the column already carries: a
+// random 16-bit goto target is nearly always out of range.
 func (r *incrementalRun) stageBatch(stage int) []openflow.FlowMod {
 	t := r.committed.Stages[stage].Table
 	batch := genBatch(r.rng, t, batchPools(r.rng, t))
@@ -291,16 +300,10 @@ func (r *incrementalRun) plant(stage int) []openflow.FlowMod {
 	}
 	var mods []openflow.FlowMod
 	for _, row := range rows {
-		r.planted = append(r.planted, plantedRow{stage, row})
+		r.planted = append(r.planted, rowMod(openflow.FlowDelete, t, stage, row))
 		mods = append(mods, rowMod(openflow.FlowAdd, t, stage, row))
 	}
 	return mods
-}
-
-// plantedRow is a row plant added, and where.
-type plantedRow struct {
-	stage int
-	row   mat.Entry
 }
 
 // rowMod builds the flow-mod that adds or deletes exactly this row.
@@ -318,10 +321,8 @@ func rowMod(cmd openflow.FlowModCommand, t *mat.Table, stage int, row mat.Entry)
 }
 
 // repair plans the deletes that make the logical pipeline committable
-// again and bring it back inside the generators' column discipline: every
-// row with an out-of-range goto target, and every planted row (one can
-// even get committed, when the unrelated batch happened to delete the row
-// it collided with; the delete of one that never went in is refused).
+// again and bring it back inside the column discipline: every row with an
+// out-of-range goto target, and every planted row (committed or not).
 func (r *incrementalRun) repair() []openflow.FlowMod {
 	var mods []openflow.FlowMod
 	for si, st := range r.live.Stages {
@@ -332,9 +333,7 @@ func (r *incrementalRun) repair() []openflow.FlowMod {
 			}
 		}
 	}
-	for _, p := range r.planted {
-		mods = append(mods, rowMod(openflow.FlowDelete, r.live.Stages[p.stage].Table, p.stage, p.row))
-	}
+	mods = append(mods, r.planted...)
 	r.planted = nil
 	return mods
 }

@@ -22,7 +22,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 	// whose goto form is always distinct from its metadata form.
 	var programs []*Program
 	for seed := int64(1); seed <= 30; seed++ {
-		programs = append(programs, Generate(seed, DefaultGenConfig()))
+		programs = append(programs, Generate(seed))
 	}
 	g := usecases.Generate(6, 4, 7)
 	gwlb, err := g.Universal()
@@ -31,28 +31,30 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 	}
 	programs = append(programs, &Program{Seed: 31, Note: "gwlb", Table: gwlb, Packets: trafficgen.GwLB(g, 48, 0.9, 3).Packets()})
 	for _, p := range programs {
-		steps := 6
+		p.Steps = 6
 		if p.Note == "gwlb" {
-			steps = 50 // seven stages to spread the batches over
+			p.Steps = 50 // seven stages to spread the batches over
 		}
-		divs, runs, err := ExecuteIncremental(p, steps, DefaultExecConfig())
+		runs, err := incrementalRuns(p, DefaultConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", p.Note, err)
 		}
-		for _, d := range divs {
-			t.Errorf("%s: %s", p.Note, d)
+		for _, r := range runs {
+			for _, d := range r.divs {
+				t.Errorf("%s: %s", p.Note, d)
+			}
 		}
 		if t.Failed() {
 			t.Fatalf("diverging table:\n%s", p.Table)
 		}
 		for _, r := range runs {
-			rep := r.Variant[strings.LastIndexByte(r.Variant, '-')+1:]
-			k := rep + "@" + r.Model
+			rep := r.variant[strings.LastIndexByte(r.variant, '-')+1:]
+			k := rep + "@" + r.model
 			if seen[k] == nil {
 				seen[k] = &tally{}
 			}
-			seen[k].accepted += r.Accepted
-			seen[k].rejected += r.Rejected
+			seen[k].accepted += r.accepted
+			seen[k].rejected += r.rejected
 		}
 	}
 	for _, rep := range []string{"universal", "metadata", "goto"} {

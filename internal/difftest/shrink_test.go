@@ -6,44 +6,20 @@ import (
 	"testing"
 )
 
-// shrinkKinds returns the divergence kind set of a program.
-func shrinkKinds(t *testing.T, p *Program) map[string]bool {
-	t.Helper()
-	divs, err := Execute(p, DefaultExecConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string]bool, len(divs))
-	for _, d := range divs {
-		out[d.Kind] = true
-	}
-	return out
-}
-
-// TestShrinkCaveat: shrinking a diverging program must keep it diverging
-// with the same kind while making it strictly smaller.
+// TestShrinkCaveat: shrinking a diverging program must keep its kind
+// while making it strictly smaller.
 func TestShrinkCaveat(t *testing.T) {
-	p, err := PlantCaveat(1, DefaultGenConfig())
+	p, err := PlantCaveat(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := shrinkKinds(t, p)
-	if len(before) == 0 {
+	rel := prop(t, "relational")
+	if !Reproduces(check(t, p, []Property{rel}, DefaultConfig()), KindEval) {
 		t.Fatalf("planted program does not diverge:\n%s", p.Table)
 	}
-	s := Shrink(p, DefaultExecConfig())
-	after := shrinkKinds(t, s)
-	if len(after) == 0 {
-		t.Fatalf("shrunk program no longer diverges:\n%s", s.Table)
-	}
-	overlap := false
-	for k := range after {
-		if before[k] {
-			overlap = true
-		}
-	}
-	if !overlap {
-		t.Fatalf("shrink changed the divergence kind: %v -> %v", before, after)
+	s := Shrink(p, rel, KindEval, DefaultConfig())
+	if !Reproduces(check(t, s, []Property{rel}, DefaultConfig()), KindEval) {
+		t.Fatalf("shrunk program lost its divergence:\n%s", s.Table)
 	}
 	if s.Size() >= p.Size() {
 		t.Fatalf("shrink did not reduce the program: %d -> %d", p.Size(), s.Size())
@@ -56,44 +32,40 @@ func TestShrinkCaveat(t *testing.T) {
 // TestShrinkCleanIsIdentity: a program with no divergence passes through
 // Shrink untouched.
 func TestShrinkCleanIsIdentity(t *testing.T) {
-	p := Generate(2, DefaultGenConfig())
-	s := Shrink(p, DefaultExecConfig())
-	if s != p {
+	p := Generate(2)
+	if s := Shrink(p, prop(t, "forwarding"), KindVerdict, DefaultConfig()); s != p {
 		t.Fatal("shrink modified a clean program")
 	}
 }
 
 // TestShrinkWriteReplay covers the full reproducer lifecycle the fuzzing
-// loop performs on a divergence: shrink, write to a corpus directory,
-// read back, replay — and the replay must still diverge.
+// loop performs on a divergence — shrink, write to a corpus directory,
+// read back, replay — for one planted input of every shape that has one:
+// the replay must still show the recorded kind.
 func TestShrinkWriteReplay(t *testing.T) {
-	p, err := PlantCaveat(2, DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	divs, err := Execute(p, DefaultExecConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(divs) == 0 {
-		t.Fatal("planted program does not diverge")
-	}
-	s := Shrink(p, DefaultExecConfig())
-
 	dir := t.TempDir()
-	path, err := WriteCorpus(dir, s, divs[0].Kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, kind, err := Replay(path, DefaultExecConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != divs[0].Kind {
-		t.Fatalf("recorded kind %q, want %q", kind, divs[0].Kind)
-	}
-	if !Reproduces(replayed, kind) {
-		t.Fatalf("replayed corpus file lost its %q divergence: %v", kind, replayed)
+	for _, in := range Shapes() {
+		if len(in.Plants) == 0 {
+			continue
+		}
+		pl := in.Plants[0]
+		p, err := pl.New(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := prop(t, pl.Property)
+		s := Shrink(p, pr, pl.Kind, fuzzConfig())
+		path, err := WriteCorpus(dir, s, pr, pl.Kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		divs, kind, err := Replay(path, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != pl.Kind || !Reproduces(divs, kind) {
+			t.Fatalf("%s/%s: replayed reproducer recorded %q, got %v", pl.Property, pl.Name, kind, divs)
+		}
 	}
 }
 
@@ -110,12 +82,9 @@ func TestReplayCommittedCorpus(t *testing.T) {
 		t.Fatal("no committed corpus files — the caveat reproducers should be checked in")
 	}
 	for _, f := range files {
-		divs, kind, err := Replay(f, DefaultExecConfig())
+		divs, kind, err := Replay(f, DefaultConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
-		}
-		if kind == "" {
-			t.Fatalf("%s: no recorded divergence kind", f)
 		}
 		if !Reproduces(divs, kind) {
 			b, _ := os.ReadFile(f)

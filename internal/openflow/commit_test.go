@@ -211,6 +211,48 @@ func TestStatsSurviveCommitToAnotherTable(t *testing.T) {
 	}
 }
 
+// TestStatsOnFusedInstall: a fused install counts per fused rule, but a
+// stats request names a logical table, so every logical table of the
+// fused program must read back exactly what the interpreted goto install
+// of the same program counts on the same traffic.
+func TestStatsOnFusedInstall(t *testing.T) {
+	g := usecases.Fig1()
+	var frames [][]byte
+	for _, pk := range trafficgen.GwLB(g, 64, 0.8, 5).Packets() {
+		frames = append(frames, pk.Marshal(nil))
+	}
+	stats := func(rep usecases.Representation) [][]uint64 {
+		p, err := g.Build(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := switches.NewESwitch()
+		agent, err := openflow.NewAgent(sw, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.NewWorker().ProcessBatch(frames, make([]dataplane.Verdict, len(frames))); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]uint64
+		for table := range p.Stages {
+			st, err := agent.ReadStats(table)
+			if err != nil {
+				t.Fatalf("%s table %d: %v", rep, table, err)
+			}
+			out = append(out, st.Counts)
+		}
+		return out
+	}
+	goto_, fused := stats(usecases.RepGoto), stats(usecases.RepFused)
+	if len(fused) != 4 {
+		t.Fatalf("fused install reported %d tables, want Fig. 1's 4", len(fused))
+	}
+	if !reflect.DeepEqual(fused, goto_) {
+		t.Fatalf("fused per-table counts %v, goto install %v", fused, goto_)
+	}
+}
+
 // movePort pushes the planner's port-change intent for service svc into
 // the agent, flow-mod by flow-mod, and commits it.
 func movePort(agent *openflow.Agent, g *usecases.GwLB, rep usecases.Representation, svc int, port uint16) error {
