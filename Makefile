@@ -32,7 +32,8 @@ race:
 # from seed 1, each input shape for its own budget: 30 s of generated
 # programs (every representation and its fused twin on every model,
 # against the relational semantics, the NetKAT oracle, the witnesses and
-# the counters), 30 s of schema programs (an invented header schema and
+# the counters, and every representation's Denormalize against the
+# source table), 30 s of schema programs (an invented header schema and
 # parse graph per seed, raw frames through the compiled decoder), 250
 # concurrent flow-mod batch pairs (the confluence verifier against
 # brute-force interleaving; genuinely racing pairs are counted, not
@@ -51,7 +52,9 @@ race:
 # fuzz-replay re-runs every committed reproducer's property on its input:
 # each must still show the divergence kind it records (the Fig. 3 caveat,
 # the rematch hazard and its schema twin, the racing flow-mod pair), and a
-# reproducer of a fixed bug (kind "fixed") must show none at all.
+# reproducer of a fixed bug (kind "fixed": the OVS exact-match cache's
+# MAC key, the fused counters read-back, the fused generic mod_<field>
+# rewrite, the forgotten ambiguous add) must show none at all.
 fuzz-smoke:
 	$(GO) run ./cmd/mafuzz -props all -seed 1
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzEvaluatorMatchesEval -fuzztime 15s

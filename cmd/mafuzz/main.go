@@ -50,6 +50,13 @@ func main() {
 	flag.BoolVar(&o.replay, "replay", false, "replay every corpus file instead of fuzzing")
 	flag.Usage = usage
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// Every input is a flag: a directory after -replay is not the
+		// corpus, and must not silently replay the default one.
+		fmt.Fprintf(os.Stderr, "mafuzz: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "mafuzz:", err)
 		os.Exit(1)

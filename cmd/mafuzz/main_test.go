@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -79,5 +82,29 @@ func TestRunReplayEmptyCorpus(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out, options{replay: true, corpus: t.TempDir()}); err == nil {
 		t.Fatal("expected error for empty corpus")
+	}
+}
+
+// TestMainRejectsPositionalArgs: `mafuzz -replay DIR` names no corpus
+// (the directory is -corpus's value), so a positional argument is a usage
+// error with exit status 2, not a replay of the default corpus. main runs
+// in a child process, since it exits.
+func TestMainRejectsPositionalArgs(t *testing.T) {
+	if os.Getenv("MAFUZZ_MAIN") == "1" {
+		os.Args = []string{"mafuzz", "-replay", t.TempDir()}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainRejectsPositionalArgs$")
+	cmd.Env = append(os.Environ(), "MAFUZZ_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("want exit status 2, got %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "unexpected argument") || !strings.Contains(stderr.String(), "usage: mafuzz") {
+		t.Fatalf("want the argument named and the usage printed, got:\n%s", stderr.String())
 	}
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // Fingerprint reduces a pipeline to the canonical identity of the program
-// it implements: the installed rule set is denormalized to its universal
-// table (Theorem 1 makes this lossless), the table's entries are sorted
+// it implements: the installed rule set is denormalized to the one table
+// that forwards like it (for a normalized program, by Theorem 1, its
+// universal table), the table's entries are sorted
 // into a canonical order (matching is order-free; resends and shuffled
 // deliveries may install entries in any order), the sorted table is
 // renormalized, and the resulting pipeline is hashed in canonical JSON.

@@ -2,25 +2,34 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"manorm/internal/fdd"
 	"manorm/internal/mat"
 )
 
 // Denormalize is the inverse transformation (§4: "decomposing a
 // match-action table into multiple tables and vice versa"): it re-joins a
-// multi-table pipeline into its universal single-table representation by
-// enumerating the pipeline's control-flow paths and joining the entries
-// along each path. Link attributes (metadata tags, goto targets) are
-// consumed by the join and do not appear in the output.
+// multi-table pipeline into the single table that forwards like it. The
+// table is a projection of the fused program (fdd.Fuse): one row per
+// forwarding path, its fields the path's header constraint and its
+// actions the last value the path writes to each. Link attributes
+// (metadata tags, goto targets) are resolved by fusion and do not appear
+// in the output.
 //
 // This is what a data plane like Open vSwitch does implicitly when it
-// collapses a multi-table pipeline into a single flow cache (§5); the
-// explicit construction also powers the round-trip property tests
+// collapses a multi-table pipeline into a single flow cache (§5), so a
+// rematch on a field an earlier stage rewrites reads the written value —
+// the datapath reading of the paper's Fig. 3, not the relational one.
+// The explicit construction also powers the round-trip property tests
 // (Denormalize(Normalize(T)) ≡ T).
 //
 // Every stage must be drop-on-miss: a fall-through miss would require
 // negated matches in the universal table, which the match-action
-// abstraction cannot express in a single row.
+// abstraction cannot express in a single row. Denormalize also inherits
+// fusion's refusals, wrapping fdd.ErrUnfusable: inconsistent field
+// widths, a TTL match after dec_ttl, goto cycles and more than
+// fdd.MaxRules paths.
 func Denormalize(p *mat.Pipeline) (*mat.Table, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -31,10 +40,10 @@ func Denormalize(p *mat.Pipeline) (*mat.Table, error) {
 		}
 	}
 
-	// Collect the output schema: non-link fields first, then non-link
-	// actions, in stage order of first appearance. An attribute may not
-	// be both matched and written.
-	var schema mat.Schema
+	// The output schema: non-link fields first, then non-link actions,
+	// each in stage order of first appearance. An attribute may not be
+	// both matched and written.
+	var fields, actions mat.Schema
 	seen := make(map[string]mat.Kind)
 	for _, st := range p.Stages {
 		for _, at := range st.Table.Schema {
@@ -48,134 +57,51 @@ func Denormalize(p *mat.Pipeline) (*mat.Table, error) {
 				continue
 			}
 			seen[at.Name] = at.Kind
-			schema = append(schema, at)
+			if at.Kind == mat.Field {
+				fields = append(fields, at)
+			} else {
+				actions = append(actions, at)
+			}
 		}
 	}
-	// Stable order: fields then actions, preserving relative order.
-	var ordered mat.Schema
-	for _, at := range schema {
-		if at.Kind == mat.Field {
-			ordered = append(ordered, at)
-		}
-	}
-	for _, at := range schema {
-		if at.Kind == mat.Action {
-			ordered = append(ordered, at)
-		}
-	}
-
-	out := mat.New(p.Name+"-denorm", ordered)
+	out := mat.New(p.Name+"-denorm", slices.Concat(fields, actions))
 	if len(p.Stages) > 0 {
 		out.Provenance = p.Stages[0].Table.Provenance
 	}
 
-	// path state: accumulated match constraints and action assignments.
-	type state struct {
-		match    map[string]mat.Cell
-		assigned map[string]uint64
+	prog, err := fdd.Fuse(p)
+	if err != nil {
+		return nil, fmt.Errorf("core: denormalize: %w", err)
 	}
-	cloneState := func(s state) state {
-		m := make(map[string]mat.Cell, len(s.match))
-		for k, v := range s.match {
-			m[k] = v
-		}
-		a := make(map[string]uint64, len(s.assigned))
-		for k, v := range s.assigned {
-			a[k] = v
-		}
-		return state{match: m, assigned: a}
+	col := make(map[string]int, len(prog.Cols))
+	for ci, c := range prog.Cols {
+		col[c.Name] = ci
 	}
-
 	seenRows := make(map[string]bool)
-	var emit func(s state) error
-	emit = func(s state) error {
-		row := make(mat.Entry, len(ordered))
-		for i, at := range ordered {
-			if at.Kind == mat.Field {
-				if c, ok := s.match[at.Name]; ok {
-					row[i] = c
-				} else {
-					row[i] = mat.Any()
-				}
-				continue
-			}
-			v, ok := s.assigned[at.Name]
-			if !ok {
-				return fmt.Errorf("core: denormalize: action %s not assigned on some path", at.Name)
-			}
-			row[i] = mat.Exact(v, at.Width)
+	for _, r := range prog.Rules {
+		if r.Drop {
+			continue
 		}
-		k := rowKey(row)
-		if !seenRows[k] {
+		row := make(mat.Entry, 0, len(out.Schema))
+		for _, at := range fields {
+			row = append(row, r.Match[col[at.Name]])
+		}
+		for _, at := range actions {
+			last := -1
+			for ai, a := range r.Acts {
+				if a.Attr == at.Name {
+					last = ai
+				}
+			}
+			if last < 0 {
+				return nil, fmt.Errorf("core: denormalize: action %s not assigned on some path", at.Name)
+			}
+			row = append(row, mat.Exact(r.Acts[last].Value, at.Width))
+		}
+		if k := rowKey(row); !seenRows[k] {
 			seenRows[k] = true
 			out.Entries = append(out.Entries, row)
 		}
-		return nil
-	}
-
-	var walk func(stage int, s state, depth int) error
-	walk = func(stage int, s state, depth int) error {
-		if stage < 0 {
-			return emit(s)
-		}
-		if depth > len(p.Stages) {
-			return fmt.Errorf("core: denormalize: goto cycle in pipeline %s", p.Name)
-		}
-		st := p.Stages[stage]
-		t := st.Table
-		gotoIdx := t.Schema.Index(mat.GotoAttr)
-	entries:
-		for _, e := range t.Entries {
-			ns := cloneState(s)
-			for i, at := range t.Schema {
-				c := e[i]
-				switch {
-				case at.Kind == mat.Field:
-					// A field already assigned upstream (a metadata
-					// tag) is a concrete value: the entry joins only
-					// if its pattern matches that value.
-					if v, ok := ns.assigned[at.Name]; ok {
-						if !c.Matches(v, at.Width) {
-							continue entries
-						}
-						continue
-					}
-					prev, constrained := ns.match[at.Name]
-					switch {
-					case !constrained:
-						if !mat.IsLinkAttr(at.Name) {
-							ns.match[at.Name] = c
-						}
-					case prev.Covers(c, at.Width):
-						ns.match[at.Name] = c
-					case c.Covers(prev, at.Width):
-						// Keep the tighter upstream constraint.
-					default:
-						// Prefix patterns are nested or disjoint:
-						// non-nested means no packet can take this
-						// path.
-						continue entries
-					}
-				case i == gotoIdx:
-					// Control transfer handled below.
-				default: // action
-					ns.assigned[at.Name] = c.Bits
-				}
-			}
-			next := st.Next
-			if gotoIdx >= 0 {
-				next = int(e[gotoIdx].Bits)
-			}
-			if err := walk(next, ns, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	err := walk(p.Start, state{match: map[string]mat.Cell{}, assigned: map[string]uint64{}}, 0)
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"manorm/internal/fd"
+	"manorm/internal/fdd"
 	"manorm/internal/mat"
 	"manorm/internal/netkat"
+	"manorm/internal/packet"
 )
 
 func TestDenormalizeRoundTripGwlb(t *testing.T) {
@@ -183,6 +186,47 @@ func TestDenormalizeOVSStyleCollapse(t *testing.T) {
 	}
 	if got, want := back.FieldCount(), tab.FieldCount(); got != want {
 		t.Errorf("collapsed footprint = %d, want %d", got, want)
+	}
+}
+
+// The Fig. 3 shape: stage 0 sets vlan, stage 1 re-matches it. A datapath
+// re-matches the written vlan 5, so every 10/8 packet leaves on port 1,
+// whatever vlan it arrived with: one row, with vlan unconstrained. (The
+// relational reading would also keep a vlan-7 row to port 2.)
+func TestDenormalizeRematchReadsWrittenValue(t *testing.T) {
+	t0 := mat.New("set", mat.Schema{mat.F(packet.FieldIPDst, 32), mat.A("mod_vlan", 12)})
+	t0.Add(mat.IPv4Prefix("10.0.0.0", 8), mat.Exact(5, 12))
+	t1 := mat.New("rematch", mat.Schema{mat.F(packet.FieldVLAN, 12), mat.A("out", 16)})
+	t1.Add(mat.Exact(5, 12), mat.Exact(1, 16))
+	t1.Add(mat.Exact(7, 12), mat.Exact(2, 16))
+	p := &mat.Pipeline{Name: "fig3", Stages: []mat.Stage{
+		{Table: t0, Next: 1, MissDrop: true},
+		{Table: t1, Next: -1, MissDrop: true},
+	}}
+	back, err := Denormalize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mat.New("want", mat.Schema{mat.F(packet.FieldIPDst, 32), mat.F(packet.FieldVLAN, 12), mat.A("mod_vlan", 12), mat.A("out", 16)})
+	want.Add(mat.IPv4Prefix("10.0.0.0", 8), mat.Any(), mat.Exact(5, 12), mat.Exact(1, 16))
+	if !back.Equal(want) {
+		t.Fatalf("denormalized to\n%s\nwant\n%s", back, want)
+	}
+}
+
+// A TTL match after dec_ttl has no constant to resolve against:
+// Denormalize inherits fusion's refusal.
+func TestDenormalizeRefusesTTLMatchAfterDec(t *testing.T) {
+	t0 := mat.New("dec", mat.Schema{mat.F(packet.FieldIPDst, 32), mat.A("mod_ttl", 8)})
+	t0.Add(mat.Any(), mat.Exact(1, 8))
+	t1 := mat.New("ttl", mat.Schema{mat.F(packet.FieldTTL, 8), mat.A("out", 16)})
+	t1.Add(mat.Exact(63, 8), mat.Exact(1, 16))
+	p := &mat.Pipeline{Name: "ttl", Stages: []mat.Stage{
+		{Table: t0, Next: 1, MissDrop: true},
+		{Table: t1, Next: -1, MissDrop: true},
+	}}
+	if _, err := Denormalize(p); !errors.Is(err, fdd.ErrUnfusable) {
+		t.Fatalf("want fdd.ErrUnfusable, got %v", err)
 	}
 }
 

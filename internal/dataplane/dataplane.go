@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"manorm/internal/classifier"
+	"manorm/internal/fdd"
 	"manorm/internal/mat"
 	"manorm/internal/packet"
 	"manorm/internal/telemetry"
@@ -577,7 +578,7 @@ func (p *Pipeline) process(view *packet.FieldView, ctx *Ctx, tr *Trace, wit *tel
 				return p.finish(v, wit, t0), nil
 			}
 			if wit != nil {
-				st.Join = joinName(-1, false, t.next)
+				st.Join = fdd.JoinName(-1, false, t.next)
 				wit.Stages = append(wit.Stages, st)
 			}
 			cur = t.next
@@ -638,7 +639,7 @@ func (p *Pipeline) process(view *packet.FieldView, ctx *Ctx, tr *Trace, wit *tel
 		}
 		g := t.gotos[ei]
 		if wit != nil {
-			st.Join = joinName(g, setsMeta, t.next)
+			st.Join = fdd.JoinName(g, setsMeta, t.next)
 			wit.Stages = append(wit.Stages, st)
 		}
 		if g >= 0 {

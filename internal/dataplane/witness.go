@@ -40,23 +40,6 @@ func (p *Pipeline) ProcessExplainView(view *packet.FieldView, ctx *Ctx) (Verdict
 	return v, wit, err
 }
 
-// joinName classifies the mechanism that carries execution onward from a
-// stage: an explicit goto, a metadata register handed to the next stage,
-// or plain fall-through (the rematch abstraction: the next stage matches
-// packet headers again). A next of -1 ends the pipeline.
-func joinName(gotoTarget int, setsMeta bool, next int) string {
-	switch {
-	case gotoTarget >= 0:
-		return "goto"
-	case next < 0:
-		return "terminal"
-	case setsMeta:
-		return "metadata"
-	default:
-		return "rematch"
-	}
-}
-
 // renderAction formats one compiled action for witness output.
 func renderAction(a Action, schema *packet.HeaderSchema) string {
 	switch a.Kind {

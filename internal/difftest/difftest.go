@@ -98,6 +98,9 @@ const (
 	// KindOracle: the NetKAT oracle found a diverging probe, or could not
 	// evaluate one.
 	KindOracle = "oracle"
+	// KindRoundtrip: denormalizing a representation does not give back
+	// the universal table's rows.
+	KindRoundtrip = "roundtrip"
 	// KindVerdict: a compiled representation's drop/port verdict differs
 	// from the relational ground truth, or was not produced.
 	KindVerdict = "verdict"

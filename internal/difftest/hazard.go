@@ -20,9 +20,12 @@ import (
 // values lie outside every vlan pattern: dec({vlan} -> {mod_vlan})/rematch
 // is legal and certified equivalent by the relational layers — and every
 // compiled executor drops the traffic, because stage 2 re-matches the
-// rewritten vlan. Kind "verdict" with clean relational layers: a bug only
-// runtime differential testing sees, and why the generator never pairs a
-// rewriting action with a match on its target field.
+// rewritten vlan. Kind "verdict" with clean relational layers, and kind
+// "roundtrip": the rematch variant denormalizes to what the datapath
+// forwards, not to the table. Only the datapath reading of a pipeline
+// (the executors, and fdd.Fuse behind Denormalize) sees it, which is why
+// the generator never pairs a rewriting action with a match on its target
+// field.
 func PlantRematchHazard(seed int64) *Program {
 	rng := rand.New(rand.NewSource(seed))
 	t, _, _, _ := plantGrid(rng, fmt.Sprintf("hazard%d", seed), packet.FieldVLAN, 12, packet.FieldTCPDst, 16, "mod_vlan")

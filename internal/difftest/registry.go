@@ -51,6 +51,7 @@ var (
 			{"fig3-caveat", "relational", KindEval, PlantCaveat},
 			{"fig3-caveat", "oracle", KindOracle, PlantCaveat},
 			{"rematch-hazard", "forwarding", KindVerdict, func(seed int64) (*Program, error) { return PlantRematchHazard(seed), nil }},
+			{"rematch-hazard", "roundtrip", KindRoundtrip, func(seed int64) (*Program, error) { return PlantRematchHazard(seed), nil }},
 		},
 		prepare: preparePackets, decode: decodePackets,
 		parts: []part{packetsPart, entriesPart, attrsPart},
@@ -62,6 +63,7 @@ var (
 			{"schema-caveat", "schema-relational", KindEval, PlantSchemaCaveat},
 			{"schema-caveat", "schema-oracle", KindOracle, PlantSchemaCaveat},
 			{"schema-hazard", "schema-forwarding", KindVerdict, PlantSchemaHazard},
+			{"schema-hazard", "schema-roundtrip", KindRoundtrip, PlantSchemaHazard},
 		},
 		prepare: prepareFrames, decode: decodeFrames,
 		parts: []part{framesPart, entriesPart, attrsPart},
@@ -107,6 +109,9 @@ func programProperties(in *Shape, prefix string) []Property {
 			"relational, evaluator."},
 		{prefix + "oracle", in, checkOracle, "Every representation equals the universal table on the NetKAT " +
 			"oracle, exhaustively where the probe domain is small. Kind: oracle."},
+		{prefix + "roundtrip", in, checkRoundtrip, "Denormalizing every representation gives back exactly the " +
+			"universal table's rows: the fused, datapath reading of a pipeline (core.Denormalize projects " +
+			"fdd.Fuse) is the table it was built from. Kind: roundtrip."},
 		{prefix + "forwarding", in, checkForwarding, "Every representation and its fused twin builds and forwards " +
 			"as the relational ground truth says: on the raw dataplane (verdict, rewrites, witness, frames path) " +
 			"and on every model, cold and cache-warm. Kinds: construct, verdict, mutation, witness, cache."},

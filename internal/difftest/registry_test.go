@@ -104,16 +104,17 @@ var faults = map[string]struct {
 	kind string
 	run  func(*testing.T) []Divergence
 }{
-	"counters":    {KindCounters, misattributingTwin},
-	"incremental": {KindIncremental, forgottenAmbiguity},
+	"counters":        {KindCounters, func(t *testing.T) []Divergence { return misattributingTwin(t, "counters", Generate(1)) }},
+	"schema-counters": {KindCounters, func(t *testing.T) []Divergence { return misattributingTwin(t, "schema-counters", GenerateSchema(1)) }},
+	"incremental":     {KindIncremental, forgottenAmbiguity},
 }
 
-// misattributingTwin replaces every fused twin by one compiled from its
-// pipeline with the first stage's entries reversed: it forwards exactly
-// like the interpreted pipeline but credits the wrong entries.
-func misattributingTwin(t *testing.T) []Divergence {
-	pr := prop(t, "counters")
-	c := &Case{Program: Generate(1), cfg: DefaultConfig(), tally: make(map[string]int)}
+// misattributingTwin replaces every fused twin of p by one compiled from
+// its pipeline with the first stage's entries reversed: it forwards
+// exactly like the interpreted pipeline but credits the wrong entries.
+func misattributingTwin(t *testing.T, name string, p *Program) []Divergence {
+	pr := prop(t, name)
+	c := &Case{Program: p, cfg: DefaultConfig(), tally: make(map[string]int)}
 	if err := pr.Input.prepare(c); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,12 @@
 // The output is ordered: rule r matches only packets matched by no rule
 // before it. Lowering therefore requires a first-match classifier
 // (classifier.ForceFDD); re-sorting the rules by specificity is unsound.
+//
+// Fusion is the one path walk of the repository, with two readers: the
+// dataplane lowers the program into a fused datapath, and
+// core.Denormalize projects it onto one table (one row per
+// forwarding path). Which field a rewriting action writes comes from
+// packet.RewriteTarget, the rule the dataplane's binder applies too.
 package fdd
 
 import (
@@ -253,7 +259,7 @@ func (f *fuser) fuse(stage int, st *pathState, visits int) error {
 			case at.Name == "out":
 				stepActs = append(stepActs, Act{Attr: "out", Value: v})
 			case at.Name == "mod_ttl":
-				stepActs = append(stepActs, Act{Attr: "mod_ttl"})
+				stepActs = append(stepActs, Act{Attr: "mod_ttl", Value: v})
 				if w, ok := st2.written[packet.FieldTTL]; ok {
 					if w > 0 {
 						st2.written[packet.FieldTTL] = w - 1
@@ -269,12 +275,14 @@ func (f *fuser) fuse(stage int, st *pathState, visits int) error {
 				setsMeta = true
 				stepActs = append(stepActs, Act{Attr: at.Name, Value: v})
 			default:
-				fld := packet.ActionField(at.Name)
-				if w := packet.FieldWidth(fld); w > 0 {
+				// Only a rewrite of a matched field can be re-read: one
+				// the pipeline never matches needs no tracking.
+				fld := packet.RewriteTarget(at.Name)
+				if ci, ok := f.colIdx[fld]; ok {
 					if st2.written == nil {
 						st2.written = make(map[string]uint64, 2)
 					}
-					st2.written[fld] = v & ((uint64(1) << w) - 1)
+					st2.written[fld] = v & ((uint64(1) << f.cols[ci].Width) - 1)
 					if fld == packet.FieldTTL {
 						st2.ttlDirty = false
 					}
@@ -289,7 +297,7 @@ func (f *fuser) fuse(stage int, st *pathState, visits int) error {
 		st2.acts = append(st2.acts, stepActs...)
 		st2.steps = append(st2.steps, Step{
 			Stage: stage, Table: t.Name, Entry: ei,
-			Join: joinName(g, setsMeta, stg.Next), Acts: stepActs,
+			Join: JoinName(g, setsMeta, stg.Next), Acts: stepActs,
 		})
 		if err := f.fuse(next, st2, visits+1); err != nil {
 			return err
@@ -307,7 +315,7 @@ func (f *fuser) fuse(stage int, st *pathState, visits int) error {
 		return f.emit(st2, true)
 	}
 	st2.steps = append(st2.steps, Step{
-		Stage: stage, Table: t.Name, Entry: -1, Join: joinName(-1, false, stg.Next),
+		Stage: stage, Table: t.Name, Entry: -1, Join: JoinName(-1, false, stg.Next),
 	})
 	return f.fuse(stg.Next, st2, visits+1)
 }
@@ -365,9 +373,12 @@ func (f *fuser) intersect(st *pathState, sch mat.Schema, fields []int, e mat.Ent
 	return st2, full, true, nil
 }
 
-// joinName mirrors the interpreted witness classification of the
-// mechanism carrying execution onward (dataplane.joinName).
-func joinName(gotoTarget int, setsMeta bool, next int) string {
+// JoinName classifies the mechanism that carries execution onward from a
+// stage: an explicit goto, a metadata register handed to the next stage,
+// or plain fall-through (the rematch abstraction: the next stage matches
+// packet headers again). A next of -1 ends the pipeline. Fused steps and
+// the interpreted dataplane's witnesses both name joins with it.
+func JoinName(gotoTarget int, setsMeta bool, next int) string {
 	switch {
 	case gotoTarget >= 0:
 		return "goto"

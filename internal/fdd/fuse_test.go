@@ -23,6 +23,7 @@ type refOutcome struct {
 // rewritten values; metadata registers start at zero.
 func refInterpret(t *testing.T, p *mat.Pipeline, rec map[string]uint64) refOutcome {
 	t.Helper()
+	binder := packet.DefaultBinder()
 	meta := map[string]uint64{}
 	var out refOutcome
 	cur := p.Start
@@ -78,12 +79,12 @@ func refInterpret(t *testing.T, p *mat.Pipeline, rec map[string]uint64) refOutco
 			case mat.IsLinkAttr(at.Name):
 				meta[at.Name] = e[i].Bits
 			default:
-				fld := packet.ActionField(at.Name)
-				w := packet.FieldWidth(fld)
-				if w == 0 {
-					w = 64
+				// As the dataplane does: a write to a field outside the
+				// default schema is a no-op.
+				fld := binder.ActionTarget(at.Name)
+				if w := binder.Width(fld); w > 0 {
+					rec[fld] = e[i].Bits & ((uint64(1) << w) - 1)
 				}
-				rec[fld] = e[i].Bits & ((uint64(1) << w) - 1)
 			}
 		}
 		if g >= 0 {
@@ -242,6 +243,34 @@ func TestFuseRematchUsesWrittenValue(t *testing.T) {
 	got := evalFused(prog, map[string]uint64{packet.FieldVLAN: 0})
 	if got.drop || got.port != 9 {
 		t.Fatalf("rewritten vlan=5 must match the vlan=5 entry: %+v", got)
+	}
+}
+
+// A generic mod_<field> rewrite is a write like the legacy aliases: stage
+// 0 rewrites ip_src to 10.9.9.9 and stage 1 re-matches ip_src, so every
+// packet takes stage 1's 10.9.9.9 entry, whatever its original ip_src.
+func TestFuseRematchGenericRewrite(t *testing.T) {
+	written := mat.IPv4Prefix("10.9.9.9", 32)
+	t0 := mat.New("rewrite", mat.Schema{mat.F(packet.FieldIPDst, 32), mat.A("mod_"+packet.FieldIPSrc, 32)})
+	t0.Add(mat.Any(), written)
+	t1 := mat.New("rematch", mat.Schema{mat.F(packet.FieldIPSrc, 32), mat.A("out", 16)})
+	t1.Add(written, mat.Exact(1, 16))
+	t1.Add(mat.IPv4Prefix("192.168.0.0", 16), mat.Exact(2, 16))
+	p := &mat.Pipeline{Name: "generic-rewrite", Stages: []mat.Stage{
+		{Table: t0, Next: 1, MissDrop: true},
+		{Table: t1, Next: -1, MissDrop: true},
+	}}
+	prog, err := Fuse(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{"10.9.9.9", "192.168.1.1", "172.16.0.1"} {
+		rec := map[string]uint64{packet.FieldIPSrc: mat.IPv4Prefix(src, 32).Bits, packet.FieldIPDst: 7}
+		want := refInterpret(t, p, cloneRec(rec))
+		got := evalFused(prog, rec)
+		if got.drop || got.port != 1 || got != want {
+			t.Fatalf("ip_src %s: fused %+v, interpreted %+v; want out 1 (the written ip_src)", src, got, want)
+		}
 	}
 }
 

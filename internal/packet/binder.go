@@ -33,11 +33,12 @@ func (b *Binder) Schema() *HeaderSchema { return b.schema }
 // Slot resolves a match attribute name to its field slot, or -1.
 func (b *Binder) Slot(attr string) int { return b.schema.Slot(attr) }
 
-// ActionTarget maps a rewriting action attribute to the field it writes:
-// the legacy aliases (mod_smac, mod_dmac, mod_vlan) first, then the
-// generic convention mod_<field> for any schema field, then the attribute
-// name itself. The schema-generic superset of ActionField.
-func (b *Binder) ActionTarget(attr string) string {
+// RewriteTarget maps a rewriting action attribute to the field it
+// writes: the legacy aliases (mod_smac, mod_dmac, mod_vlan) to their
+// fields, mod_<field> to <field>, any other name to itself. It is the one
+// rewrite rule of every reader of a pipeline: the binder checks the
+// result against its schema, and fusion against its match columns.
+func RewriteTarget(attr string) string {
 	switch attr {
 	case "mod_smac":
 		return FieldEthSrc
@@ -46,8 +47,15 @@ func (b *Binder) ActionTarget(attr string) string {
 	case "mod_vlan":
 		return FieldVLAN
 	}
-	if rest := strings.TrimPrefix(attr, "mod_"); rest != attr && b.schema.Slot(rest) >= 0 {
-		return rest
+	return strings.TrimPrefix(attr, "mod_")
+}
+
+// ActionTarget maps a rewriting action attribute to the schema field it
+// writes (RewriteTarget), or to the attribute name itself when that
+// field is not in the schema.
+func (b *Binder) ActionTarget(attr string) string {
+	if f := RewriteTarget(attr); b.schema.Slot(f) >= 0 {
+		return f
 	}
 	return attr
 }

@@ -18,19 +18,3 @@ const (
 	// NumFieldIDs is the default schema's slot count.
 	NumFieldIDs
 )
-
-// ActionField maps rewriting action attribute names to the packet field
-// they write (mod_smac -> eth_src etc.); unknown names pass through and are
-// treated as opaque packet fields.
-func ActionField(name string) string {
-	switch name {
-	case "mod_smac":
-		return FieldEthSrc
-	case "mod_dmac":
-		return FieldEthDst
-	case "mod_vlan":
-		return FieldVLAN
-	default:
-		return name
-	}
-}

@@ -8,6 +8,9 @@ var defaultNames = []string{
 	FieldIPDst, FieldIPProto, FieldTTL, FieldTCPSrc, FieldTCPDst,
 }
 
+// defaultWidths lists their bit widths, in the same order.
+var defaultWidths = []uint8{48, 48, 16, 12, 32, 32, 8, 8, 16, 16}
+
 // A default view filled from a Packet must read, at every ID slot, what
 // Packet.Field reads for that name — on packets with and without the
 // optional layers — and StorePacket must carry slot writes back.

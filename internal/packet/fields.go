@@ -19,25 +19,6 @@ const (
 	FieldTCPDst  = "tcp_dst"
 )
 
-// FieldWidth returns the bit width of a canonical field name (0 for
-// unknown names).
-func FieldWidth(name string) uint8 {
-	switch name {
-	case FieldEthDst, FieldEthSrc:
-		return 48
-	case FieldEthType, FieldTCPSrc, FieldTCPDst:
-		return 16
-	case FieldVLAN:
-		return 12
-	case FieldIPSrc, FieldIPDst:
-		return 32
-	case FieldIPProto, FieldTTL:
-		return 8
-	default:
-		return 0
-	}
-}
-
 // Field reads a header field by canonical name. The second result is false
 // when the packet does not carry the field's layer or the name is unknown.
 func (p *Packet) Field(name string) (uint64, bool) {

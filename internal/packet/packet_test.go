@@ -223,10 +223,11 @@ func TestRecord(t *testing.T) {
 }
 
 func TestFieldWidth(t *testing.T) {
-	if FieldWidth(FieldEthDst) != 48 || FieldWidth(FieldIPDst) != 32 ||
-		FieldWidth(FieldTCPDst) != 16 || FieldWidth(FieldVLAN) != 12 ||
-		FieldWidth(FieldTTL) != 8 || FieldWidth("bogus") != 0 {
-		t.Errorf("FieldWidth table wrong")
+	s := DefaultDecoder().Schema()
+	if s.Width(FieldEthDst) != 48 || s.Width(FieldIPDst) != 32 ||
+		s.Width(FieldTCPDst) != 16 || s.Width(FieldVLAN) != 12 ||
+		s.Width(FieldTTL) != 8 || s.Width("bogus") != 0 {
+		t.Errorf("default schema widths wrong")
 	}
 }
 

@@ -160,8 +160,7 @@ func (s *HeaderSchema) HeaderIndex(name string) int {
 	return -1
 }
 
-// Width returns the bit width of a field name (0 for unknown names) —
-// the schema-generic form of the canonical FieldWidth table.
+// Width returns the bit width of a field name (0 for unknown names).
 func (s *HeaderSchema) Width(name string) uint8 {
 	if i, ok := s.index[name]; ok {
 		return s.slots[i].width

@@ -17,8 +17,8 @@ func TestDefaultSchemaMatchesFieldIDs(t *testing.T) {
 		if s.Slot(name) != id {
 			t.Errorf("slot of %q is %d, want ID %d", name, s.Slot(name), id)
 		}
-		if s.SlotWidth(id) != FieldWidth(name) {
-			t.Errorf("slot %d width %d != FieldWidth(%q)=%d", id, s.SlotWidth(id), name, FieldWidth(name))
+		if s.SlotWidth(id) != defaultWidths[id] || s.Width(name) != defaultWidths[id] {
+			t.Errorf("slot %d (%q) width %d, want %d", id, name, s.SlotWidth(id), defaultWidths[id])
 		}
 	}
 }
@@ -301,12 +301,18 @@ func TestBinder(t *testing.T) {
 	if b.ActionSlot("mod_smac") != IDEthSrc {
 		t.Error("mod_smac slot")
 	}
-	// The bridge must agree with the legacy ActionField mapping on every
-	// canonical attribute.
-	for _, attr := range []string{"mod_smac", "mod_dmac", "mod_vlan", FieldIPDst} {
-		if b.ActionTarget(attr) != ActionField(attr) {
-			t.Errorf("binder and ActionField disagree on %q", attr)
+	// The bridge must agree with RewriteTarget on every attribute whose
+	// target is in the schema, and keep the name of any other.
+	for _, attr := range []string{"mod_smac", "mod_dmac", "mod_vlan", "mod_" + FieldIPSrc, FieldIPDst} {
+		if b.ActionTarget(attr) != RewriteTarget(attr) {
+			t.Errorf("binder and RewriteTarget disagree on %q", attr)
 		}
+	}
+	if got := RewriteTarget("mod_" + FieldIPSrc); got != FieldIPSrc {
+		t.Errorf("RewriteTarget(mod_ip_src) = %q", got)
+	}
+	if got := b.ActionTarget("mod_nosuch"); got != "mod_nosuch" {
+		t.Errorf("mod_nosuch -> %q, want the name itself", got)
 	}
 	vx := NewBinder(mustDecoder(t, SchemaVXLAN).Schema())
 	if got := vx.ActionTarget("mod_" + FieldVXLANVNI); got != FieldVXLANVNI {
