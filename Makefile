@@ -67,7 +67,7 @@ fuzz-replay:
 # fabric-smoke drives the multi-switch fabric through the headline fault
 # schedule (1% loss, a forced mid-frame cut, a partition every third
 # update) under both placement modes and fails unless the convergence
-# checker proves full convergence: identical normal forms on every
+# checker proves full convergence: the oracle's fingerprint on every
 # replica, exact desired state (zero lost or duplicated flow-mods), and
 # packet-for-packet forwarding agreement with the single-switch oracle.
 fabric-smoke:

@@ -22,14 +22,15 @@
 // to FieldViews over a shipped header schema so tables over arbitrary
 // schema fields (vxlan_vni, mpls_label, gtpu_teid, ...) can be witnessed.
 //
-// -fingerprint prints the canonical normal-form fingerprint of a table
-// or pipeline: the installed rules are denormalized to the universal
-// table, sorted into canonical entry order, and renormalized, and the
-// result is hashed. The fingerprint is invariant to the order rules were
-// installed in (resends and interleaved deliveries reorder entries), so
-// two switches driven to the same program fingerprint equal — it is how
-// the fabric convergence checker (internal/fabric) decides that replicas
-// agree.
+// -fingerprint prints the fingerprint of a table or pipeline: the hash of
+// its universal table. The installed rules are denormalized to the one
+// table that forwards like them, put in canonical form (columns by
+// attribute name, entries sorted, no table name) and hashed. The
+// fingerprint is invariant to the order rules were installed in (resends
+// and interleaved deliveries reorder entries), to the multi-table shape
+// and to table names and column order, so two switches driven to the
+// same program fingerprint equal — it is how the fabric convergence
+// checker (internal/fabric) decides that replicas agree.
 //
 // -confluence runs the semantic commutation verifier
 // (internal/confluence) on a JSON case of the form
@@ -38,9 +39,9 @@
 //
 // — a base state plus concurrently-planned flow-mod batches. Every
 // interleaving of the batches is applied (exhaustively up to a budget,
-// seeded-sampled beyond it) and checked to renormalize to one canonical
-// fingerprint, forward witness packets identically, and compensate
-// cleanly (rolling back any applied prefix restores the base state). The
+// seeded-sampled beyond it) and checked to reach one fingerprint,
+// forward witness packets identically, and compensate cleanly (rolling
+// back any applied prefix restores the base state). The
 // text output is the verdict plus a rendered minimal counterexample for
 // non-confluent cases; -format json emits the full verdict structure.
 // The exit status is 0 either way — non-confluence is a property of the
@@ -62,7 +63,6 @@ import (
 	"manorm/internal/confluence"
 	"manorm/internal/core"
 	"manorm/internal/dataplane"
-	"manorm/internal/fabric"
 	"manorm/internal/fd"
 	"manorm/internal/mat"
 	"manorm/internal/netkat"
@@ -83,7 +83,7 @@ func main() {
 		decompose   = flag.String("decompose", "", "single decomposition step along the given dependency (\"a,b -> c\")")
 		prove       = flag.String("prove", "", "print the machine-checked Theorem 1 rewrite chain for the dependency")
 		denorm      = flag.Bool("denormalize", false, "re-join a pipeline into its universal table")
-		fingerprint = flag.Bool("fingerprint", false, "print the canonical normal-form fingerprint of a table or pipeline")
+		fingerprint = flag.Bool("fingerprint", false, "print the fingerprint (hash of the universal table) of a table or pipeline")
 		confl       = flag.Bool("confluence", false, "verify semantic commutation of concurrent flow-mod batches against a base state")
 		in          = flag.String("in", "-", "input file (JSON table or pipeline), - for stdin")
 		target      = flag.String("target", "3nf", "normalization target: 2nf, 3nf or bcnf")
@@ -397,26 +397,21 @@ func verifyEquiv(w io.Writer, tab *mat.Table, p *mat.Pipeline, limit int) error 
 	return nil
 }
 
-// runFingerprint prints the canonical normal-form fingerprint of the
-// input, which may be either a pipeline or a single universal table.
+// runFingerprint prints the fingerprint (the hash of the universal
+// table) of the input, which may be either a pipeline or a single table.
 func runFingerprint(data []byte) error {
-	var p mat.Pipeline
-	if err := json.Unmarshal(data, &p); err == nil && len(p.Stages) > 0 {
-		fp, err := fabric.Fingerprint(&p)
-		if err != nil {
+	p := new(mat.Pipeline)
+	if err := json.Unmarshal(data, p); err != nil || len(p.Stages) == 0 {
+		var tab mat.Table
+		if err := json.Unmarshal(data, &tab); err != nil {
+			return fmt.Errorf("parsing table or pipeline: %w", err)
+		}
+		if err := tab.Validate(); err != nil {
 			return err
 		}
-		fmt.Println(fp)
-		return nil
+		p = mat.SingleTable(&tab)
 	}
-	var tab mat.Table
-	if err := json.Unmarshal(data, &tab); err != nil {
-		return fmt.Errorf("parsing table or pipeline: %w", err)
-	}
-	if err := tab.Validate(); err != nil {
-		return err
-	}
-	fp, err := fabric.Fingerprint(mat.SingleTable(&tab))
+	fp, err := confluence.Fingerprint(p)
 	if err != nil {
 		return err
 	}
@@ -469,7 +464,7 @@ func runConfluence(data []byte, format string) error {
 		return enc.Encode(v)
 	}
 	if v.Confluent {
-		fmt.Printf("confluent: %d orderings (exhaustive=%v) -> normal form %s\n",
+		fmt.Printf("confluent: %d orderings (exhaustive=%v) -> fingerprint %s\n",
 			v.Orderings, v.Exhaustive, v.Fingerprint)
 	} else if v.Counterexample != nil {
 		fmt.Print(v.Counterexample.Render(c.Batches))

@@ -303,9 +303,10 @@ func TestConfluence(t *testing.T) {
 	}
 }
 
-// TestFingerprint checks the canonical normal-form fingerprint: stable
-// format, deterministic across runs, invariant under entry reordering,
-// and accepted for both table and pipeline inputs.
+// TestFingerprint checks the fingerprint: stable format, deterministic
+// across runs, invariant under entry reordering, and accepted for both
+// table and pipeline inputs — a table and its normalized pipelines, which
+// share one universal table, print the same fingerprint.
 func TestFingerprint(t *testing.T) {
 	fp := func(in string) string {
 		t.Helper()
@@ -348,6 +349,29 @@ func TestFingerprint(t *testing.T) {
 	}
 	if c := fp(tmp); c != a {
 		t.Fatalf("fingerprint depends on entry order: %s vs %s", c, a)
+	}
+
+	for _, join := range []string{"metadata", "goto"} {
+		out, err := captureStdout(t, func() error {
+			return run(false, true, "", false, false, false, fixture, "3nf", join, false, "json", []string{"ip_dst -> tcp_dst"}, "", 0, "")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p mat.Pipeline
+		if err := json.Unmarshal([]byte(out), &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Depth() < 2 {
+			t.Fatalf("%s: fixture normalized to %d stage(s), want a multi-table pipeline", join, p.Depth())
+		}
+		norm := filepath.Join(t.TempDir(), join+".json")
+		if err := os.WriteFile(norm, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if c := fp(norm); c != a {
+			t.Errorf("%s: normalized pipeline fingerprints %s, its table %s", join, c, a)
+		}
 	}
 }
 

@@ -382,7 +382,7 @@ func FabricChurnOne(cfg Config, updates int, fs FabricSpec) (*FabricChurnRow, er
 
 	if reg != nil {
 		// Per-switch divergence gauges: 1 when the member's dumped state
-		// (or, under replication, its renormalized fingerprint) disagrees
+		// (or, under replication, its fingerprint) disagrees
 		// with the fabric's view.
 		conv := telemetry.NewRegistry()
 		for _, mr := range rep.Members {

@@ -40,7 +40,7 @@ func TestFabricChurnConvergesUnderHeadlineFaults(t *testing.T) {
 		}
 		// The false-conflict round's syntactic conflict was refuted by the
 		// semantic oracle — the pair ran in one epoch and the run still
-		// proved identical normal forms above.
+		// proved the oracle's fingerprint above.
 		if row.FalseConflicts == 0 {
 			t.Errorf("%s: semantic oracle refuted no false conflicts", mode)
 		}

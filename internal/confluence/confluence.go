@@ -6,12 +6,12 @@
 // sampling beyond it) and decides whether the batches *semantically*
 // commute:
 //
-//   - CC (convergent commutation): every interleaving must renormalize to
-//     the identical canonical normal-form fingerprint (Theorem 1 makes
-//     the fingerprint a sound program identity; the fused-FDD layer of
-//     the hash pins the first-match decision structure too), and the
-//     distinct final states must forward packet-for-packet equal on a
-//     witness batch drawn from the pipelines' joint match domain.
+//   - CC (convergent commutation): every interleaving must reach one
+//     fingerprint, the hash of the universal table its final state
+//     denormalizes to (Theorem 1 makes that table a sound program
+//     identity), and the distinct final states must forward
+//     packet-for-packet equal on a witness batch drawn from the
+//     pipelines' joint match domain.
 //   - WFC (well-founded compensation): rolling back any applied prefix of
 //     any batch — inverting each mod against the state it executed on —
 //     must restore the base state exactly.
@@ -86,21 +86,21 @@ type Rejection struct {
 // Verdict is the outcome of one Check.
 type Verdict struct {
 	// Confluent reports semantic commutation: every checked interleaving
-	// reached the same normal form and witness-equal forwarding, and (if
+	// reached the same fingerprint and witness-equal forwarding, and (if
 	// requested) compensation is well-founded.
 	Confluent bool `json:"confluent"`
 	// Orderings counts the interleavings checked; Exhaustive reports
 	// whether that was all of them.
 	Orderings  int  `json:"orderings"`
 	Exhaustive bool `json:"exhaustive"`
-	// NormalForms and FinalStates count the distinct canonical
-	// fingerprints and distinct canonical final states observed across
-	// the orderings. Confluence requires NormalForms == 1; FinalStates
-	// may legitimately exceed 1 when syntactically different rule sets
-	// normalize to the same program.
+	// NormalForms and FinalStates count the distinct fingerprints
+	// (universal tables) and distinct canonical final states observed
+	// across the orderings. Confluence requires NormalForms == 1;
+	// FinalStates may legitimately exceed 1 when syntactically different
+	// rule sets denormalize to the same universal table.
 	NormalForms int `json:"normal_forms"`
 	FinalStates int `json:"final_states"`
-	// Fingerprint is the common normal form when Confluent.
+	// Fingerprint is the common fingerprint when Confluent.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Rejections lists every mod some ordering rejected.
 	Rejections []Rejection `json:"rejections,omitempty"`
@@ -157,7 +157,7 @@ func Check(base *mat.Pipeline, batches [][]openflow.FlowMod, opts Options) (*Ver
 
 	// Group the finals by canonical state: state-equal orderings are
 	// trivially fingerprint- and forwarding-equal, so only one
-	// representative per distinct state pays for renormalization and
+	// representative per distinct state pays for denormalization and
 	// witness evaluation.
 	repOf := make(map[string]*final)
 	var reps []*final
@@ -197,7 +197,7 @@ func Check(base *mat.Pipeline, batches [][]openflow.FlowMod, opts Options) (*Ver
 		v.Counterexample = divergentForms(a, b)
 	} else {
 		v.Fingerprint = reps[0].fp
-		// All normal forms agree; witness-check the distinct final states
+		// All fingerprints agree; witness-check the distinct final states
 		// (and the base's domain, so deleted traffic is probed too) for
 		// packet-for-packet agreement — the runtime complement of the
 		// symbolic fingerprint.

@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"manorm/internal/confluence"
+	"manorm/internal/core"
 	"manorm/internal/difftest"
 	"manorm/internal/mat"
 	"manorm/internal/openflow"
+	"manorm/internal/usecases"
 )
 
 // newBase is the shared two-entry base state: exact (ip, port) keys
@@ -193,34 +195,81 @@ func TestPlantedRematchHazardPair(t *testing.T) {
 	}
 }
 
-// TestFingerprintIgnoresEntryOrder: same rows, shuffled install order,
-// identical fingerprints — and a semantic change flips the fingerprint.
+// TestFingerprintIgnoresEntryOrder: the fingerprint reads the relation
+// alone — entry order, pipeline and table names and column order leave it
+// where it is — and any change to the relation or its provenance moves it.
 func TestFingerprintIgnoresEntryOrder(t *testing.T) {
-	a := mat.New("t", mat.Schema{mat.F("ip", 8), mat.A("out", 16)}).
-		Add(mat.Exact(1, 8), mat.Exact(10, 16)).
-		Add(mat.Exact(2, 8), mat.Exact(20, 16))
-	b := mat.New("t", mat.Schema{mat.F("ip", 8), mat.A("out", 16)}).
-		Add(mat.Exact(2, 8), mat.Exact(20, 16)).
-		Add(mat.Exact(1, 8), mat.Exact(10, 16))
-	fa, err := confluence.Fingerprint(mat.SingleTable(a))
+	base := func() *mat.Pipeline {
+		return mat.SingleTable(mat.New("t", mat.Schema{mat.F("ip", 8), mat.F("port", 8), mat.A("out", 16)}).
+			Add(mat.Exact(1, 8), mat.Exact(1, 8), mat.Exact(10, 16)).
+			Add(mat.Exact(2, 8), mat.Any(), mat.Exact(20, 16)))
+	}
+	want, err := confluence.Fingerprint(base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := confluence.Fingerprint(mat.SingleTable(b))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		edit func(p *mat.Pipeline)
+		same bool
+	}{
+		{"entries reversed", func(p *mat.Pipeline) {
+			e := p.Stages[0].Table.Entries
+			e[0], e[1] = e[1], e[0]
+		}, true},
+		{"pipeline renamed", func(p *mat.Pipeline) { p.Name = "other" }, true},
+		{"table renamed", func(p *mat.Pipeline) { p.Stages[0].Table.Name = "other" }, true},
+		{"columns permuted", func(p *mat.Pipeline) {
+			tab := p.Stages[0].Table
+			perm := []int{2, 0, 1}
+			tab.Schema = tab.Schema.Project(perm)
+			for i, e := range tab.Entries {
+				tab.Entries[i] = mat.Entry{e[perm[0]], e[perm[1]], e[perm[2]]}
+			}
+		}, true},
+		{"provenance changed", func(p *mat.Pipeline) { p.Stages[0].Table.Provenance = "vxlan" }, false},
+		{"one action changed", func(p *mat.Pipeline) { p.Stages[0].Table.Entries[1][2] = mat.Exact(21, 16) }, false},
+	} {
+		p := base()
+		tc.edit(p)
+		got, err := confluence.Fingerprint(p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (got == want) != tc.same {
+			t.Errorf("%s: fingerprint %s, base %s; want equal=%v", tc.name, got, want, tc.same)
+		}
 	}
-	if fa != fb {
-		t.Fatalf("entry order changed the fingerprint: %s vs %s", fa, fb)
-	}
-	c := mat.New("t", mat.Schema{mat.F("ip", 8), mat.A("out", 16)}).
-		Add(mat.Exact(1, 8), mat.Exact(10, 16)).
-		Add(mat.Exact(2, 8), mat.Exact(21, 16))
-	fc, err := confluence.Fingerprint(mat.SingleTable(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc == fa {
-		t.Fatal("semantically different programs share a fingerprint")
+}
+
+// TestFingerprintIsShapeInvariant: every representation core.Variants
+// builds of a table — universal, metadata, goto and single-FD
+// decompositions — forwards like it, so each has the table's fingerprint.
+func TestFingerprintIsShapeInvariant(t *testing.T) {
+	for _, g := range []*usecases.GwLB{usecases.Fig1(), usecases.Generate(20, 8, 42)} {
+		tab, err := g.Universal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := confluence.Fingerprint(mat.SingleTable(tab))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := core.Variants(tab, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) < 3 {
+			t.Fatalf("%s: %d variants, want the universal table and at least two decompositions", tab.Name, len(vs))
+		}
+		for _, v := range vs {
+			got, err := confluence.Fingerprint(v.Pipeline)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tab.Name, v.Name, err)
+			}
+			if got != want {
+				t.Errorf("%s/%s: fingerprint %s, universal table %s", tab.Name, v.Name, got, want)
+			}
+		}
 	}
 }

@@ -11,19 +11,19 @@ import (
 )
 
 // Counterexample renders the minimal evidence of non-confluence: the two
-// divergent delivery orderings and either the differing normal forms or
+// divergent delivery orderings and either the differing fingerprints or
 // a witness record the final states forward differently.
 type Counterexample struct {
 	// OrderA/OrderB are the two interleavings (sequences of batch
 	// indices) whose outcomes differ.
 	OrderA []int `json:"order_a,omitempty"`
 	OrderB []int `json:"order_b,omitempty"`
-	// FingerprintA/FingerprintB are the orderings' normal-form
-	// fingerprints (equal for forwarding divergences).
+	// FingerprintA/FingerprintB are the orderings' fingerprints (equal
+	// for forwarding divergences).
 	FingerprintA string `json:"fingerprint_a,omitempty"`
 	FingerprintB string `json:"fingerprint_b,omitempty"`
-	// NormalFormA/NormalFormB render the divergent final states as
-	// universal-style canonical JSON when the fingerprints differ.
+	// NormalFormA/NormalFormB render the divergent final states in
+	// canonical JSON (CanonicalState) when the fingerprints differ.
 	NormalFormA string `json:"normal_form_a,omitempty"`
 	NormalFormB string `json:"normal_form_b,omitempty"`
 	// Probe is the witness record on which forwarding diverged, with
@@ -35,8 +35,8 @@ type Counterexample struct {
 	Detail string `json:"detail"`
 }
 
-// divergentForms builds the counterexample for two orderings reaching
-// different normal forms.
+// divergentForms builds the counterexample for two orderings whose
+// final states denormalize to different universal tables.
 func divergentForms(a, b *final) *Counterexample {
 	return &Counterexample{
 		OrderA:       a.order,
@@ -45,7 +45,7 @@ func divergentForms(a, b *final) *Counterexample {
 		FingerprintB: b.fp,
 		NormalFormA:  a.state,
 		NormalFormB:  b.state,
-		Detail: fmt.Sprintf("orderings %v and %v renormalize to distinct forms %s vs %s",
+		Detail: fmt.Sprintf("orderings %v and %v reach distinct universal tables %s vs %s",
 			a.order, b.order, a.fp, b.fp),
 	}
 }

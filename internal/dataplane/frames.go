@@ -30,9 +30,6 @@ type ProcessOpt func(*ProcessOpts)
 // means plain processing and is always valid. New processing modes
 // extend this struct instead of adding another entry-point signature.
 type ProcessOpts struct {
-	// trace, when non-nil, collects the megaflow wildcard trace of each
-	// processed packet (reset per packet).
-	trace *Trace
 	// onDecode runs after a frame decodes and before the pipeline; a
 	// false return drops the frame without traversal.
 	onDecode func(view *packet.FieldView) bool
@@ -45,11 +42,6 @@ func NewProcessOpts(opts ...ProcessOpt) *ProcessOpts {
 		opt(o)
 	}
 	return o
-}
-
-// WithTrace collects each packet's megaflow wildcard trace into tr.
-func WithTrace(tr *Trace) ProcessOpt {
-	return func(o *ProcessOpts) { o.trace = tr }
 }
 
 // WithDecodeHook runs fn on every successfully decoded frame before the
@@ -177,12 +169,12 @@ func (a *FrameBatch) ctxFor(p *Pipeline) *Ctx {
 // frames through the arena's ring and runs each decoded view through the
 // pipeline, writing the i-th verdict into out[i]. Malformed frames drop,
 // counted per reason in the arena; well-formed frames take the fused
-// fast path when the pipeline is fused and no option forces the general
-// loop. The path allocates nothing, malformed frames included (the
-// decoders return prebuilt typed errors). On a generic schema decode is
-// the parse-graph walk alone; a field is extracted from the frame when
-// the pipeline, the fused loop or a decode hook first reads it, so a
-// frame costs what the program consults, not what the schema declares.
+// fast path when the pipeline is fused. The path allocates nothing,
+// malformed frames included (the decoders return prebuilt typed errors).
+// On a generic schema decode is the parse-graph walk alone; a field is
+// extracted from the frame when the pipeline, the fused loop or a decode
+// hook first reads it, so a frame costs what the program consults, not
+// what the schema declares.
 //
 // The arena's decoder must be of the pipeline's schema. opts may be nil.
 func (p *Pipeline) ProcessFrames(frames [][]byte, arena *FrameBatch, out []Verdict, opts *ProcessOpts) error {
@@ -196,10 +188,9 @@ func (p *Pipeline) ProcessFrames(frames [][]byte, arena *FrameBatch, out []Verdi
 		return fmt.Errorf("dataplane: pipeline %s compiled for schema %s; arena decodes schema %s", p.Name, p.schema.Name, arena.dec.Schema().Name)
 	}
 	ctx := arena.ctxFor(p)
-	var tr *Trace
 	var hook func(*packet.FieldView) bool
 	if opts != nil {
-		tr, hook = opts.trace, opts.onDecode
+		hook = opts.onDecode
 	}
 	for i, f := range frames {
 		view, err := arena.Decode(f)
@@ -212,13 +203,9 @@ func (p *Pipeline) ProcessFrames(frames [][]byte, arena *FrameBatch, out []Verdi
 			continue
 		}
 		var v Verdict
-		switch {
-		case tr != nil:
-			tr.Reset()
-			v, err = p.process(view, ctx, tr, nil)
-		case p.fusedT != nil:
+		if p.fusedT != nil {
 			v, err = p.processFusedView(view, ctx)
-		default:
+		} else {
 			v, err = p.process(view, ctx, nil, nil)
 		}
 		if err != nil {

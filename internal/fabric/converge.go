@@ -12,22 +12,6 @@ import (
 	"manorm/internal/telemetry"
 )
 
-// Fingerprint reduces a pipeline to the canonical identity of the program
-// it implements. The canonicalization lives in internal/confluence (the
-// semantic commutation verifier fingerprints interleaving outcomes with
-// the exact same function, so fabric convergence and confluence verdicts
-// can never disagree about what "the same program" means); see
-// confluence.Fingerprint for the algorithm.
-func Fingerprint(p *mat.Pipeline) (string, error) {
-	return confluence.Fingerprint(p)
-}
-
-// canonicalPipeline serializes a pipeline with every table's entries
-// sorted, so pipelines differing only in entry order render identically.
-func canonicalPipeline(p *mat.Pipeline) (string, error) {
-	return confluence.CanonicalState(p)
-}
-
 // unionPipeline merges shard dumps into the logical whole: entries are
 // unioned per stage (deduplicated by full row, since stages past the
 // entry stage are replicated on every shard).
@@ -62,7 +46,7 @@ func unionPipeline(shards []*mat.Pipeline) (*mat.Pipeline, error) {
 // MemberReport is one member's convergence verdict.
 type MemberReport struct {
 	Name string
-	// Fingerprint is the member's renormalized canonical form ("-" for
+	// Fingerprint is the hash of the member's universal table ("-" for
 	// partition shards, whose identity only exists in union).
 	Fingerprint string
 	// StateOK reports that the dumped state equals the fabric's desired
@@ -81,8 +65,7 @@ type Report struct {
 	Oracle string
 	Union  string
 	// NormalFormOK reports the headline property: every replica (or the
-	// shard union) renormalizes to the identical normal form as the
-	// oracle.
+	// shard union) has the oracle's fingerprint.
 	NormalFormOK bool
 	// StateOK is the conjunction of the members' exact-state checks.
 	StateOK bool
@@ -94,7 +77,7 @@ type Report struct {
 	Witness        string
 }
 
-// OK reports full convergence: identical normal forms, exact state and
+// OK reports full convergence: the oracle's fingerprint, exact state and
 // divergence-free forwarding.
 func (r *Report) OK() bool {
 	return r.NormalFormOK && r.StateOK && r.Divergences == 0
@@ -111,10 +94,11 @@ func (r *Report) String() string {
 }
 
 // CheckConvergence pulls every member's installed rule set over the wire,
-// renormalizes each, and proves (or refutes) that the fabric converged:
+// fingerprints each (confluence.Fingerprint: the hash of its universal
+// table), and proves (or refutes) that the fabric converged:
 //
-//   - Normal form: under replication every member's fingerprint must equal
-//     the oracle's; under partitioning the union of the shards must.
+//   - Fingerprint: under replication every member's fingerprint must equal
+//     the oracle's; under partitioning the union of the shards' must.
 //   - Exact state: every dump must equal the fabric's desired state for
 //     that member — zero lost and zero duplicated flow-mods.
 //   - Forwarding: every packet must be forwarded by the fabric exactly as
@@ -127,7 +111,7 @@ func (r *Report) String() string {
 func (f *Fabric) CheckConvergence(ctx context.Context, oracle *mat.Pipeline, pkts []*packet.Packet) (*Report, error) {
 	r := &Report{Mode: f.mode}
 
-	oracleFP, err := Fingerprint(oracle)
+	oracleFP, err := confluence.Fingerprint(oracle)
 	if err != nil {
 		return nil, err
 	}
@@ -154,11 +138,11 @@ func (f *Fabric) CheckConvergence(ctx context.Context, oracle *mat.Pipeline, pkt
 	r.NormalFormOK = true
 	for i, m := range f.members {
 		mr := MemberReport{Name: m.Name, Fingerprint: "-"}
-		gotState, err := canonicalPipeline(dumps[i])
+		gotState, err := confluence.CanonicalState(dumps[i])
 		if err != nil {
 			return nil, err
 		}
-		wantState, err := canonicalPipeline(desired[i])
+		wantState, err := confluence.CanonicalState(desired[i])
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +151,7 @@ func (f *Fabric) CheckConvergence(ctx context.Context, oracle *mat.Pipeline, pkt
 			r.StateOK = false
 		}
 		if f.mode == Replicate {
-			fp, err := Fingerprint(dumps[i])
+			fp, err := confluence.Fingerprint(dumps[i])
 			if err != nil {
 				return nil, fmt.Errorf("fabric: fingerprint %s: %w", m.Name, err)
 			}
@@ -183,7 +167,7 @@ func (f *Fabric) CheckConvergence(ctx context.Context, oracle *mat.Pipeline, pkt
 		if err != nil {
 			return nil, err
 		}
-		r.Union, err = Fingerprint(union)
+		r.Union, err = confluence.Fingerprint(union)
 		if err != nil {
 			return nil, fmt.Errorf("fabric: union fingerprint: %w", err)
 		}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"testing"
 
+	"manorm/internal/confluence"
 	"manorm/internal/mat"
 	"manorm/internal/openflow"
 	"manorm/internal/usecases"
@@ -27,11 +28,11 @@ func TestFingerprintIsEntryOrderInvariant(t *testing.T) {
 			e[i], e[j] = e[j], e[i]
 		}
 	}
-	fa, err := Fingerprint(src)
+	fa, err := confluence.Fingerprint(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := Fingerprint(shuffled)
+	fb, err := confluence.Fingerprint(shuffled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +48,11 @@ func TestFingerprintDetectsSemanticDivergence(t *testing.T) {
 	lb := mutated.Stages[1].Table
 	out := lb.Schema.Index("out")
 	lb.Entries[0][out].Bits++
-	fa, err := Fingerprint(src)
+	fa, err := confluence.Fingerprint(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := Fingerprint(mutated)
+	fb, err := confluence.Fingerprint(mutated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,11 @@ func TestUnionOfShardsFingerprintsLikeOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fu, err := Fingerprint(union)
+		fu, err := confluence.Fingerprint(union)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fo, err := Fingerprint(src)
+		fo, err := confluence.Fingerprint(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +114,11 @@ func TestDiffModsRepairsDrift(t *testing.T) {
 			t.Fatalf("repair mod %d (%v): %v", i, mods[i].Command, err)
 		}
 	}
-	got, err := canonicalPipeline(actual)
+	got, err := confluence.CanonicalState(actual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := canonicalPipeline(desired)
+	want, err := confluence.CanonicalState(desired)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ type Config struct {
 	// SemanticCommute arms the confluence verifier as a second opinion on
 	// the syntactic commutation pre-check: batch pairs the syntactic test
 	// conservatively flags are re-judged semantically (every interleaving
-	// renormalizes to one fingerprint, with well-founded compensation) and
+	// reaches one fingerprint, with well-founded compensation) and
 	// refuted conflicts share an epoch after all. Refutations are counted
 	// as commute.false_conflicts. The syntactic test stays the fast path —
 	// the verifier only runs on pairs it rejects.

@@ -171,7 +171,7 @@ func oracle(t *testing.T, src *mat.Pipeline, mods []openflow.FlowMod) *mat.Pipel
 
 func mustCanonical(t *testing.T, p *mat.Pipeline) string {
 	t.Helper()
-	s, err := canonicalPipeline(p)
+	s, err := confluence.CanonicalState(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func oracleFromServices(t *testing.T, h *testHarness) *mat.Pipeline {
 // seeded frame loss, one forced mid-frame cut and repeated single-member
 // partitions during a port-change churn, with quorum 2 of 3 so the
 // fabric keeps committing while the victim lags. After healing, every
-// member must hold the identical normal form, exact desired state, and
+// member must hold the oracle's fingerprint, exact desired state, and
 // forward packet-for-packet like the fault-free oracle.
 func TestFabricChurnUnderPartitionedChurn(t *testing.T) {
 	h := newHarness(t, harnessOpts{
@@ -451,7 +451,7 @@ func TestApplyConcurrentSerializesConflicts(t *testing.T) {
 // racing a wildcard-port catch-all add on the same VIP. The delete and
 // the catch-all overlap under distinct keys, so the syntactic pre-check
 // conservatively flags them — but every interleaving applies cleanly and
-// renormalizes identically, so the semantic oracle refutes the conflict.
+// fingerprints identically, so the semantic oracle refutes the conflict.
 func falseConflictBatches(t *testing.T, h *testHarness, port uint16) [][]openflow.FlowMod {
 	t.Helper()
 	ca, err := controlplane.PlanCatchAll(h.g, usecases.RepGoto, 0)

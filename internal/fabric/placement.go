@@ -3,15 +3,15 @@
 // members (replicated, or with its first stage partitioned), updates are
 // pushed under an epoch-stamped protocol with quorum barriers, members
 // that fall behind are resynchronized by full state transfer, and a
-// convergence checker proves — by renormalizing each member's installed
-// rule set — that every replica reached the identical normal form and
+// convergence checker proves — by denormalizing each member's installed
+// rule set — that every replica holds the oracle's universal table and
 // forwards packet-for-packet like the single-switch oracle.
 //
 // The fabric is the operational payoff of the paper's Theorem 1: because
 // normalization and denormalization preserve semantics, "all replicas
 // hold the same program" is decidable by pulling each switch's rules,
-// renormalizing, and comparing canonical forms — no per-update bookkeeping
-// of what should have arrived is needed.
+// denormalizing them, and comparing fingerprints of the universal tables
+// — no per-update bookkeeping of what should have arrived is needed.
 package fabric
 
 import (
@@ -29,8 +29,8 @@ type PlacementMode string
 
 const (
 	// Replicate installs the full pipeline on every member; every flow-mod
-	// goes to every member and all replicas must converge to the identical
-	// normal form.
+	// goes to every member and all replicas must converge to the oracle's
+	// fingerprint.
 	Replicate PlacementMode = "replicate"
 	// Partition shards the first stage's entries across members by a hash
 	// of their match key; later stages are replicated (they are the shared

@@ -114,6 +114,7 @@ type fuser struct {
 	p      *mat.Pipeline
 	cols   []Col
 	colIdx map[string]int
+	orders [][]int // per stage, its entry order once visited
 	rules  []Rule
 }
 
@@ -157,7 +158,7 @@ func Fuse(p *mat.Pipeline) (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	f := &fuser{p: p, colIdx: make(map[string]int)}
+	f := &fuser{p: p, colIdx: make(map[string]int), orders: make([][]int, len(p.Stages))}
 	for _, stg := range p.Stages {
 		sch := stg.Table.Schema
 		for _, fi := range sch.Fields() {
@@ -216,24 +217,8 @@ func (f *fuser) fuse(stage int, st *pathState, visits int) error {
 	fields := sch.Fields()
 	gotoIdx := sch.Index(mat.GotoAttr)
 
-	// Entry resolution order: total significant bits descending, entry
-	// index ascending — the shared convention of every classifier template
-	// and the relational evaluator.
-	order := make([]int, len(t.Entries))
-	for i := range order {
-		order[i] = i
-	}
-	prio := func(e mat.Entry) int {
-		n := 0
-		for _, fi := range fields {
-			n += int(e[fi].PLen)
-		}
-		return n
-	}
-	sort.SliceStable(order, func(a, b int) bool { return prio(t.Entries[order[a]]) > prio(t.Entries[order[b]]) })
-
 	covered := false // some feasible entry matches st's whole region
-	for _, ei := range order {
+	for _, ei := range f.order(stage) {
 		e := t.Entries[ei]
 		st2, full, feasible, err := f.intersect(st, sch, fields, e)
 		if err != nil {
@@ -318,6 +303,29 @@ func (f *fuser) fuse(stage int, st *pathState, visits int) error {
 		Stage: stage, Table: t.Name, Entry: -1, Join: JoinName(-1, false, stg.Next),
 	})
 	return f.fuse(stg.Next, st2, visits+1)
+}
+
+// order returns a stage's entry resolution order — total significant
+// bits descending, entry index ascending, the shared convention of every
+// classifier template and the relational evaluator — sorting the stage
+// on its first visit only.
+func (f *fuser) order(stage int) []int {
+	if o := f.orders[stage]; o != nil {
+		return o
+	}
+	t := f.p.Stages[stage].Table
+	fields := t.Schema.Fields()
+	order := make([]int, len(t.Entries))
+	prio := make([]int, len(t.Entries))
+	for i, e := range t.Entries {
+		order[i] = i
+		for _, fi := range fields {
+			prio[i] += int(e[fi].PLen)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return prio[order[a]] > prio[order[b]] })
+	f.orders[stage] = order
+	return order
 }
 
 // intersect refines st's constraint with one entry's match row. Metadata

@@ -249,6 +249,28 @@ func (t *Table) SortEntries() {
 	})
 }
 
+// Canonical returns the table's relation alone, in one canonical form:
+// columns ordered by attribute name, entries sorted, no name. Provenance
+// is kept. Tables holding the same rows over the same attributes have
+// equal canonical forms, whatever their names, column or entry order.
+func (t *Table) Canonical() *Table {
+	idx := make([]int, len(t.Schema))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return t.Schema[idx[a]].Name < t.Schema[idx[b]].Name })
+	out := &Table{Schema: t.Schema.Project(idx), Entries: make([]Entry, len(t.Entries)), Provenance: t.Provenance}
+	for r, e := range t.Entries {
+		row := make(Entry, len(idx))
+		for i, j := range idx {
+			row[i] = e[j]
+		}
+		out.Entries[r] = row
+	}
+	out.SortEntries()
+	return out
+}
+
 // Equal reports whether two tables have identical schemas and identical
 // entry sets (order-insensitive).
 func (t *Table) Equal(o *Table) bool {

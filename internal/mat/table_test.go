@@ -177,6 +177,34 @@ func TestEqualOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestCanonicalForgetsNameAndOrder: the canonical form orders columns by
+// name, sorts entries and drops the table name, keeping provenance — so a
+// renamed, column-permuted, entry-reversed copy has the same one.
+func TestCanonicalForgetsNameAndOrder(t *testing.T) {
+	a := fig1a()
+	a.Provenance = "default"
+	perm := []int{3, 2, 0, 1}
+	b := New("other", a.Schema.Project(perm))
+	b.Provenance = a.Provenance
+	for i := len(a.Entries) - 1; i >= 0; i-- {
+		e := a.Entries[i]
+		b.Entries = append(b.Entries, Entry{e[perm[0]], e[perm[1]], e[perm[2]], e[perm[3]]})
+	}
+	ca, cb := a.Canonical(), b.Canonical()
+	if got := strings.Join(ca.Schema.Names(), ","); got != "ip_dst,ip_src,out,tcp_dst" {
+		t.Errorf("canonical columns %s, want them by name", got)
+	}
+	if ca.Name != "" || ca.Provenance != "default" {
+		t.Errorf("canonical name %q provenance %q, want no name and the provenance kept", ca.Name, ca.Provenance)
+	}
+	if ca.String() != cb.String() {
+		t.Errorf("canonical forms differ:\n%s\n%s", ca, cb)
+	}
+	if a.Name != "T0" || a.Schema[0].Name != "ip_src" {
+		t.Errorf("Canonical modified its receiver")
+	}
+}
+
 func TestTableValidate(t *testing.T) {
 	tab := fig1a()
 	if err := tab.Validate(); err != nil {

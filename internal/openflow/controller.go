@@ -30,7 +30,6 @@ type Client struct {
 	dial       func() (net.Conn, error)
 	rpcTimeout time.Duration
 	retry      RetryPolicy
-	latCap     int
 
 	opMu sync.Mutex // serializes RPC retry loops and reconnects
 	rng  *rand.Rand // backoff jitter stream; guarded by opMu
@@ -60,6 +59,9 @@ type Client struct {
 	switchErrs int64
 }
 
+// latCap is the size of the client's RPC latency reservoir.
+const latCap = 1024
+
 // queuedMod is one unacknowledged flow-mod in the resend queue.
 type queuedMod struct {
 	xid uint32
@@ -73,14 +75,13 @@ func NewClient(conn net.Conn, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		rpcTimeout: 5 * time.Second,
 		retry:      DefaultRetryPolicy(),
-		latCap:     1024,
 		pending:    make(map[uint32]chan *Message),
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	c.rng = rand.New(rand.NewSource(c.retry.Seed))
-	c.lat = stats.NewReservoir(c.latCap, c.retry.Seed+1)
+	c.lat = stats.NewReservoir(latCap, c.retry.Seed+1)
 
 	if conn != nil {
 		err := c.attach(conn)

@@ -31,16 +31,6 @@ func WithDialer(dial func() (net.Conn, error)) ClientOption {
 	return func(c *Client) { c.dial = dial }
 }
 
-// WithLatencySamples sets the reservoir size for RPC latency sampling
-// (default 1024; 0 keeps the default).
-func WithLatencySamples(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.latCap = n
-		}
-	}
-}
-
 // AgentOption configures an Agent at construction.
 type AgentOption func(*Agent)
 

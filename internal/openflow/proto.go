@@ -39,7 +39,7 @@ const (
 	// TypeFlowDumpReply answers with the pipeline in the JSON form of
 	// internal/mat. The dump powers controller-side resynchronization
 	// (full state transfer after a reconnect) and the fabric convergence
-	// checker, which renormalizes each switch's installed rule set.
+	// checker, which fingerprints each switch's installed rule set.
 	TypeFlowDumpRequest
 	TypeFlowDumpReply
 )
